@@ -9,7 +9,7 @@ Options::
                                           # (latency, throughput, copy stats)
     python -m repro.bench --json --collectives
                                           # LIVE collective cells: auto vs
-                                          # seed-default vs every algorithm
+                                          # every algorithm
     python -m repro.bench tune-coll --out tuned.json
                                           # sweep algorithms, emit a
                                           # REPRO_COLL_TUNING decision table
@@ -93,8 +93,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--collectives", action="store_true",
-        help="with --json: run the collective cells (auto vs seed-default "
-             "vs every manual algorithm) instead of ping-pong",
+        help="with --json: run the collective cells (auto vs every "
+             "manual algorithm) instead of ping-pong",
     )
     parser.add_argument(
         "--nprocs", type=int, default=None,

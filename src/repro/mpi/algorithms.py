@@ -1,40 +1,43 @@
-"""Alternative collective algorithms, selectable per communicator.
+"""Collective algorithms: one registry per tunable collective.
 
 The high level of MPJ Express implements its collectives in pure Java
 over point-to-point; production MPI libraries ship *several* algorithms
-per collective and pick by message size and process count.  This module
-provides the classic alternatives so the choice can be ablated
-(``benchmarks/test_ablation_collectives.py``), tuned offline
+per collective and pick by message size and process count.  Every
+algorithm lives here, the built-in defaults included, so the choice can
+be ablated (``benchmarks/test_ablation_collectives.py``), tuned offline
 (``python -m repro.bench tune-coll``) and selected automatically per
 call (:mod:`repro.mpi.tuning`):
 
 ==============  ===========================  =================================
 collective      default                      alternatives
 ==============  ===========================  =================================
-Bcast           binomial tree                linear, scatter+ring-allgather,
-                                             pipelined binomial
-Reduce          binomial tree                linear gather-fold,
+Bcast           linear                       binomial tree, scatter+ring-
+                                             allgather, pipelined binomial
+Reduce          linear gather-fold           binomial tree,
                                              pipelined binomial
 Allreduce       Reduce + Bcast               recursive doubling, Rabenseifner
-Allgather       ring                         gather + bcast
+Allgather       gather + bcast               ring
 Allgatherv      gather + bcast via rank 0    ring
 Gather          linear                       binomial tree
 Scatter         linear                       binomial tree
 Reduce_scatter  Reduce + Scatterv            pairwise exchange
 ==============  ===========================  =================================
 
-Select manually with ``comm.set_collective_algorithm("bcast", "linear")``;
-without an override the decision table in :mod:`repro.mpi.tuning` picks
-by message size and communicator size.
+Select manually with ``comm.set_collective_algorithm("bcast", "binomial")``;
+without an override the ``REPRO_COLL_TUNING`` decision table, if any,
+picks by message size and communicator size, and :data:`DEFAULTS`
+covers everything it does not.
 
-All functions here speak the same internal interface as Intracomm's
-built-ins: rank-addressed ``_coll_send``/``_coll_recv`` on the
-communicator's collective context.  Each algorithm that needs special
-structure (primitive contiguous datatypes, commutative or splittable
-operations, a minimum element count) checks its preconditions up front
-and falls back to the built-in default — the checks only consult
-values that are identical on every rank (count, op flags, communicator
-size, datatype shape), so all ranks take the same path.
+Every function here takes the communicator first and speaks
+rank-addressed ``_coll_send``/``_coll_recv`` on its collective context.
+Each algorithm that needs special structure (primitive contiguous
+datatypes, commutative or splittable operations, a minimum element
+count) checks its preconditions up front and falls back to a simpler
+algorithm — the checks only consult values that are identical on every
+rank (count, op flags, communicator size, datatype shape), so all ranks
+take the same path.  Composed algorithms run their sub-collectives
+through :func:`_sub`, which selects like a user call but records no
+metrics, so ``coll.*`` counters count user calls only.
 """
 
 from __future__ import annotations
@@ -72,11 +75,42 @@ def _base_datatype(datatype: Datatype):
     return _BY_DTYPE[np.dtype(datatype.base_dtype)]
 
 
+def _local_copy(
+    sendbuf, sendoffset, sendcount, sendtype,
+    recvbuf, recvoffset, recvcount, recvtype, pool,
+) -> None:
+    """A rank's own block: pack/unpack through a buffer, no device trip.
+
+    Going through the pack/unpack machinery (rather than a numpy slice
+    copy) keeps derived-datatype semantics identical for the local and
+    remote paths.
+    """
+    if sendcount == 0:
+        return
+    staging = pool.acquire(sendtype.packed_size(sendcount) + 64)
+    try:
+        sendtype.pack(staging, sendbuf, sendoffset, sendcount)
+        staging.commit()
+        recvtype.unpack(staging, recvbuf, recvoffset, recvcount)
+    finally:
+        staging.free()
+
+
+def _sub(comm, collective: str, nbytes: int, *args) -> None:
+    """Run a composed algorithm's sub-collective.
+
+    Selected exactly like a user call of the same size, but not
+    observed: the enclosing user call already counted itself.
+    """
+    _name, fn = comm._select_algorithm(collective, nbytes)
+    fn(comm, *args)
+
+
 def _binomial_tree(relrank: int, size: int) -> tuple[Optional[int], list[int]]:
     """Parent and children of *relrank* in the binomial tree rooted at 0.
 
-    Children come in descending-subtree-size order, matching the send
-    order of ``Intracomm._bcast_binomial``.
+    Children come in descending-subtree-size order, the send order of
+    :func:`bcast_binomial`.
     """
     parent = None
     mask = 1
@@ -137,8 +171,6 @@ def _load_vector(comm, buf, offset: int, count: int, datatype: Datatype, *, load
     flat = _flat_or_none(buf, offset, n, datatype)
     if flat is not None:
         return flat, offset, False
-    from repro.mpi.intracomm import _local_copy
-
     stage = np.empty(n, dtype=datatype.base_dtype)
     if load and n:
         _local_copy(
@@ -150,8 +182,6 @@ def _load_vector(comm, buf, offset: int, count: int, datatype: Datatype, *, load
 
 def _store_vector(comm, arr, buf, offset: int, count: int, datatype: Datatype) -> None:
     """Unpack a staged result back into the user buffer."""
-    from repro.mpi.intracomm import _local_copy
-
     n = count * datatype.block_count
     if n:
         _local_copy(
@@ -162,6 +192,19 @@ def _store_vector(comm, arr, buf, offset: int, count: int, datatype: Datatype) -
 
 # ----------------------------------------------------------------------
 # Bcast variants
+
+
+def bcast_binomial(comm, buf: Any, offset: int, count: int, datatype: Datatype, root: int) -> None:
+    """Binomial tree: ceil(log2 p) rounds, each holder forwarding once
+    per round to the root of a subtree."""
+    rank, size = comm.rank(), comm.size()
+    if size == 1 or count == 0:
+        return
+    parent, children = _binomial_tree((rank - root) % size, size)
+    if parent is not None:
+        comm._coll_recv(buf, offset, count, datatype, (parent + root) % size, TAG_BCAST)
+    for child in children:
+        comm._coll_send(buf, offset, count, datatype, (child + root) % size, TAG_BCAST)
 
 
 def bcast_linear(comm, buf: Any, offset: int, count: int, datatype: Datatype, root: int) -> None:
@@ -194,7 +237,7 @@ def bcast_scatter_allgather(
         count * datatype.block_count if datatype.base_dtype is not None else 0
     )
     if size == 1 or base_count < size:
-        comm._bcast_binomial(buf, offset, count, datatype, root)
+        bcast_binomial(comm, buf, offset, count, datatype, root)
         return
 
     flat, base0, staged = _load_vector(
@@ -293,12 +336,12 @@ def bcast_binomial_pipelined(
     if size == 1 or count == 0:
         return
     if datatype.base_dtype is None:
-        comm._bcast_binomial(buf, offset, count, datatype, root)
+        bcast_binomial(comm, buf, offset, count, datatype, root)
         return
     n = count * datatype.block_count
     seg = max(1, SEGMENT_BYTES // np.dtype(datatype.base_dtype).itemsize)
     if n <= seg:
-        comm._bcast_binomial(buf, offset, count, datatype, root)
+        bcast_binomial(comm, buf, offset, count, datatype, root)
         return
     base_dt = _base_datatype(datatype)
     flat, base0, staged = _load_vector(
@@ -410,6 +453,34 @@ def reduce_linear(
     flat[recvoffset : recvoffset + n] = result
 
 
+def reduce_binomial(
+    comm, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root
+) -> None:
+    """Binomial combine toward the root: ceil(log2 p) rounds.
+
+    Needs a commutative op, because subtrees fold out of rank order;
+    falls back to the rank-order :func:`reduce_linear` otherwise.
+    """
+    rank, size = comm.rank(), comm.size()
+    if size == 1 or not op.commute:
+        reduce_linear(
+            comm, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root
+        )
+        return
+    acc = comm._reduce_local(sendbuf, sendoffset, count, datatype)
+    n = acc.size
+    parent, children = _binomial_tree((rank - root) % size, size)
+    tmp = np.empty_like(acc)
+    for child in reversed(children):  # smallest subtree first
+        comm._coll_recv(tmp, 0, n, None, (child + root) % size, TAG_REDUCE)
+        acc = op.reduce_arrays(acc, tmp)
+    if parent is not None:
+        comm._coll_send(acc, 0, n, None, (parent + root) % size, TAG_REDUCE)
+        return
+    flat = comm._writable_flat(recvbuf)
+    flat[recvoffset : recvoffset + n] = acc
+
+
 def reduce_binomial_pipelined(
     comm, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root
 ) -> None:
@@ -419,7 +490,8 @@ def reduce_binomial_pipelined(
     the root: each interior node folds its children's segment *k* into
     its accumulator and ships it to its parent while segment *k+1* is
     still in flight.  Needs a commutative, splittable op and a
-    primitive contiguous datatype; falls back to the default otherwise.
+    primitive contiguous datatype; falls back to :func:`reduce_binomial`
+    otherwise.
     """
     rank, size = comm.rank(), comm.size()
     if (
@@ -427,16 +499,16 @@ def reduce_binomial_pipelined(
         or not _op_splits(op)
         or not _primitive_contiguous(datatype)
     ):
-        comm._reduce_default(
-            sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root
+        reduce_binomial(
+            comm, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root
         )
         return
     acc = comm._reduce_local(sendbuf, sendoffset, count, datatype)
     n = acc.size
     seg = max(1, SEGMENT_BYTES // acc.dtype.itemsize)
     if n <= seg:
-        comm._reduce_default(
-            sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root
+        reduce_binomial(
+            comm, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root
         )
         return
     segs = [(a, min(seg, n - a)) for a in range(0, n, seg)]
@@ -472,6 +544,17 @@ def reduce_binomial_pipelined(
 # Allreduce variants
 
 
+def allreduce_reduce_bcast(
+    comm, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op
+) -> None:
+    """Reduce to rank 0, then Bcast the result; each sub-collective
+    picks its own algorithm for the same message size."""
+    nbytes = datatype.packed_size(count)
+    _sub(comm, "reduce", nbytes,
+         sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, 0)
+    _sub(comm, "bcast", nbytes, recvbuf, recvoffset, count, datatype, 0)
+
+
 def allreduce_recursive_doubling(
     comm, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op
 ) -> None:
@@ -479,8 +562,9 @@ def allreduce_recursive_doubling(
     together.  Requires a commutative op (falls back otherwise)."""
     rank, size = comm.rank(), comm.size()
     if not op.commute:
-        comm.Reduce(sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, 0)
-        comm.Bcast(recvbuf, recvoffset, count, datatype, 0)
+        allreduce_reduce_bcast(
+            comm, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op
+        )
         return
     acc = comm._reduce_local(sendbuf, sendoffset, count, datatype)
     n = acc.size
@@ -649,9 +733,45 @@ def allgather_gather_bcast(
 ) -> None:
     """Gather to rank 0, then broadcast the assembled array."""
     size = comm.size()
-    comm.Gather(sendbuf, sendoffset, sendcount, sendtype,
-                recvbuf, recvoffset, recvcount, recvtype, 0)
-    comm.Bcast(recvbuf, recvoffset, size * recvcount, recvtype, 0)
+    _sub(comm, "gather", sendtype.packed_size(sendcount) * size,
+         sendbuf, sendoffset, sendcount, sendtype,
+         recvbuf, recvoffset, recvcount, recvtype, 0)
+    _sub(comm, "bcast", recvtype.packed_size(size * recvcount),
+         recvbuf, recvoffset, size * recvcount, recvtype, 0)
+
+
+def allgather_ring(
+    comm, sendbuf, sendoffset, sendcount, sendtype,
+    recvbuf, recvoffset, recvcount, recvtype,
+) -> None:
+    """Ring allgather: p-1 steps, each forwarding one block."""
+    rank, size = comm.rank(), comm.size()
+    block = recvcount * recvtype.extent
+    _local_copy(sendbuf, sendoffset, sendcount, sendtype,
+                recvbuf, recvoffset + rank * block, recvcount, recvtype, comm._pool)
+    right = (rank + 1) % size
+    left = (rank - 1) % size
+    for step in range(size - 1):
+        send_block = (rank - step) % size
+        recv_block = (rank - step - 1) % size
+        rreq = comm._coll_irecv(recvbuf, recvoffset + recv_block * block,
+                                recvcount, recvtype, left, TAG_ALLGATHER)
+        sreq = comm._coll_isend(recvbuf, recvoffset + send_block * block,
+                                recvcount, recvtype, right, TAG_ALLGATHER)
+        rreq.wait()
+        sreq.wait()
+
+
+def allgatherv_gather_bcast(
+    comm, sendbuf, sendoffset, sendcount, sendtype,
+    recvbuf, recvoffset, recvcounts, displs, recvtype,
+) -> None:
+    """Gatherv to rank 0, then Bcast of the assembled span."""
+    comm.Gatherv(sendbuf, sendoffset, sendcount, sendtype,
+                 recvbuf, recvoffset, recvcounts, displs, recvtype, 0)
+    span = int(max((d + c for d, c in zip(displs, recvcounts)), default=0))
+    _sub(comm, "bcast", recvtype.packed_size(span),
+         recvbuf, recvoffset, span, recvtype, 0)
 
 
 def allgatherv_ring(
@@ -664,8 +784,6 @@ def allgatherv_ring(
     gatherv-to-0 + bcast which funnels the whole result through one
     rank twice.
     """
-    from repro.mpi.intracomm import _local_copy
-
     rank, size = comm.rank(), comm.size()
     comm._check_vector_args(recvcounts, displs)
     _local_copy(
@@ -696,6 +814,28 @@ def allgatherv_ring(
 # Gather / Scatter variants
 
 
+def gather_linear(
+    comm, sendbuf, sendoffset, sendcount, sendtype,
+    recvbuf, recvoffset, recvcount, recvtype, root,
+) -> None:
+    """Linear gather: every rank sends straight to the root."""
+    size = comm.size()
+    comm.Gatherv(sendbuf, sendoffset, sendcount, sendtype,
+                 recvbuf, recvoffset, [recvcount] * size,
+                 [r * recvcount for r in range(size)], recvtype, root)
+
+
+def scatter_linear(
+    comm, sendbuf, sendoffset, sendcount, sendtype,
+    recvbuf, recvoffset, recvcount, recvtype, root,
+) -> None:
+    """Linear scatter: the root sends straight to every rank."""
+    size = comm.size()
+    comm.Scatterv(sendbuf, sendoffset, [sendcount] * size,
+                  [r * sendcount for r in range(size)], sendtype,
+                  recvbuf, recvoffset, recvcount, recvtype, root)
+
+
 def gather_binomial(
     comm, sendbuf, sendoffset, sendcount, sendtype,
     recvbuf, recvoffset, recvcount, recvtype, root,
@@ -707,8 +847,6 @@ def gather_binomial(
     array and forward the whole span at once.  Falls back to the
     linear gather for non-primitive block types or empty blocks.
     """
-    from repro.mpi.intracomm import _local_copy
-
     rank, size = comm.rank(), comm.size()
     own = recvtype if rank == root else sendtype
     own_count = recvcount if rank == root else sendcount
@@ -716,8 +854,8 @@ def gather_binomial(
     # Rank-consistent gate: blk and the base primitive are fixed by the
     # (matching) type signatures, unlike each rank's local layout.
     if size == 1 or blk == 0 or own.base_dtype is None:
-        comm._gather_linear(
-            sendbuf, sendoffset, sendcount, sendtype,
+        gather_linear(
+            comm, sendbuf, sendoffset, sendcount, sendtype,
             recvbuf, recvoffset, recvcount, recvtype, root,
         )
         return
@@ -833,16 +971,14 @@ def scatter_binomial(
     sends.  Falls back to the linear scatter for non-primitive block
     types or empty blocks.
     """
-    from repro.mpi.intracomm import _local_copy
-
     rank, size = comm.rank(), comm.size()
     own = sendtype if rank == root else recvtype
     own_count = sendcount if rank == root else recvcount
     blk = own_count * own.block_count
     # Rank-consistent gate (see gather_binomial).
     if size == 1 or blk == 0 or own.base_dtype is None:
-        comm._scatter_linear(
-            sendbuf, sendoffset, sendcount, sendtype,
+        scatter_linear(
+            comm, sendbuf, sendoffset, sendcount, sendtype,
             recvbuf, recvoffset, recvcount, recvtype, root,
         )
         return
@@ -932,6 +1068,26 @@ def scatter_binomial(
 # Reduce_scatter variants
 
 
+def reduce_scatter_reduce_scatterv(
+    comm, sendbuf, sendoffset, recvbuf, recvoffset, recvcounts, datatype, op
+) -> None:
+    """Reduce to rank 0, then Scatterv; staging buffer at the root only."""
+    rank = comm.rank()
+    total = int(sum(recvcounts))
+    full = (
+        np.empty(total * datatype.block_count, dtype=datatype.base_dtype)
+        if rank == 0
+        else None
+    )
+    _sub(comm, "reduce", datatype.packed_size(total),
+         sendbuf, sendoffset, full, 0, total, datatype, op, 0)
+    displs = np.concatenate(([0], np.cumsum(recvcounts)[:-1])).astype(int)
+    comm.Scatterv(
+        full, 0, list(recvcounts), list(displs), datatype,
+        recvbuf, recvoffset, int(recvcounts[rank]), datatype, 0,
+    )
+
+
 def reduce_scatter_pairwise(
     comm, sendbuf, sendoffset, recvbuf, recvoffset, recvcounts, datatype, op
 ) -> None:
@@ -942,13 +1098,13 @@ def reduce_scatter_pairwise(
     contribution it receives, so only its own block ever crosses the
     wire toward it — no rank-0 funnel and no full-vector temporary.
     Needs a commutative, splittable op and a primitive contiguous
-    datatype; falls back to the default reduce+scatterv otherwise.
+    datatype; falls back to reduce+scatterv otherwise.
     """
     rank, size = comm.rank(), comm.size()
     comm._check_vector_args(recvcounts, None)
     if size == 1 or not _op_splits(op) or not _primitive_contiguous(datatype):
-        comm._reduce_scatter_default(
-            sendbuf, sendoffset, recvbuf, recvoffset, recvcounts, datatype, op
+        reduce_scatter_reduce_scatterv(
+            comm, sendbuf, sendoffset, recvbuf, recvoffset, recvcounts, datatype, op
         )
         return
     blkc = datatype.block_count
@@ -982,53 +1138,65 @@ def reduce_scatter_pairwise(
 
 
 #: Registry: collective name -> {algorithm name -> callable}.
-#: ``None`` marks the built-in default implementation in Intracomm.
 REGISTRY: dict[str, dict[str, Any]] = {
     "bcast": {
-        "binomial": None,  # built-in default
+        "binomial": bcast_binomial,
         "linear": bcast_linear,
         "scatter_allgather": bcast_scatter_allgather,
         "binomial_pipelined": bcast_binomial_pipelined,
     },
     "reduce": {
-        "binomial": None,
+        "binomial": reduce_binomial,
         "linear": reduce_linear,
         "binomial_pipelined": reduce_binomial_pipelined,
     },
     "allreduce": {
-        "reduce_bcast": None,
+        "reduce_bcast": allreduce_reduce_bcast,
         "recursive_doubling": allreduce_recursive_doubling,
         "rabenseifner": allreduce_rabenseifner,
     },
     "allgather": {
-        "ring": None,
+        "ring": allgather_ring,
         "gather_bcast": allgather_gather_bcast,
     },
     "allgatherv": {
-        "gather_bcast": None,
+        "gather_bcast": allgatherv_gather_bcast,
         "ring": allgatherv_ring,
     },
     "gather": {
-        "linear": None,
+        "linear": gather_linear,
         "binomial": gather_binomial,
     },
     "scatter": {
-        "linear": None,
+        "linear": scatter_linear,
         "binomial": scatter_binomial,
     },
     "reduce_scatter": {
-        "reduce_scatterv": None,
+        "reduce_scatterv": reduce_scatter_reduce_scatterv,
         "pairwise": reduce_scatter_pairwise,
     },
 }
 
-#: The built-in default algorithm name per collective (the REGISTRY
-#: entry mapped to None).
+#: The algorithm each collective runs when neither a manual override
+#: nor a ``REPRO_COLL_TUNING`` rule picks one.  Chosen from interleaved
+#: smdev 8-rank sweeps (``python -m repro.bench tune-coll`` — see
+#: BENCH_collectives.json): on shared memory, payload handoff is by
+#: reference, so wire-bandwidth terms vanish and message count plus
+#: root serialization dominate.  That inverts the textbook large-
+#: message picture: the bandwidth-optimal algorithms (Rabenseifner,
+#: recursive doubling, ring) trade one big transfer for many partial
+#: ones, which is exactly the wrong trade when transfers are reference
+#: handoffs — so flat linear trees and the composed reduce+bcast
+#: (whose sub-collectives are selected the same way) win at every
+#: measured size.  Re-tune for network fabrics via ``REPRO_COLL_TUNING``
+#: — there the crossovers flip back toward the bandwidth-optimal
+#: algorithms (the netsim models in repro.netsim.collectives show
+#: where).
 DEFAULTS: dict[str, str] = {
-    "bcast": "binomial",
-    "reduce": "binomial",
+    "bcast": "linear",
+    "reduce": "linear",
     "allreduce": "reduce_bcast",
-    "allgather": "ring",
+    "allgather": "gather_bcast",
     "allgatherv": "gather_bcast",
     "gather": "linear",
     "scatter": "linear",

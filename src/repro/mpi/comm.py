@@ -18,7 +18,6 @@ return to it when requests finish.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional
 
 import numpy as np
@@ -86,12 +85,6 @@ class Comm(AttributeMixin):
         self._pool = pool if pool is not None else DEFAULT_POOL
         self._env = env
         self._freed = False
-        # Kill-switch for the zero-copy collective window path; the
-        # benchmark's seed baseline uses it to measure the packed
-        # (pre-window) datapath, and it doubles as an escape hatch.
-        self._coll_windows = os.environ.get(
-            "REPRO_COLL_WINDOWS", ""
-        ).strip().lower() not in ("0", "off", "false")
 
     # ------------------------------------------------------------------
     # identity
@@ -155,7 +148,7 @@ class Comm(AttributeMixin):
         """Count a collective entry in the device's metrics registry.
 
         When the chosen *algorithm* is known, a second counter labelled
-        with it is bumped (``coll.bcast{algorithm=binomial}``) so traces
+        with it is bumped (``coll.bcast{algorithm=linear}``) so traces
         and bench cells show which path actually ran.
         """
         try:
@@ -242,8 +235,6 @@ class Comm(AttributeMixin):
         side interoperates with a packed buffer on the other, so even
         then nothing breaks, one side just copies.
         """
-        if not self._coll_windows:
-            return None
         if count <= 0 or not isinstance(buf, np.ndarray):
             return None
         engine = getattr(self._devcomm.device, "engine", None)

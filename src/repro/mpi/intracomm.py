@@ -7,30 +7,21 @@ collectives over mpjdev.  All internal traffic runs on the
 communicator's *collective context*, so user point-to-point can never
 be matched by collective plumbing.
 
-Built-in algorithms (chosen to match common MPI practice at 2006-era
-scale):
+Barrier is a dissemination barrier (⌈log2 p⌉ rounds), Scan/Exscan a
+linear chain, and Gatherv/Scatterv/Alltoallv linear loops that the
+uniform-block Gather/Scatter/Alltoall share.  The tunable collectives
+(Bcast, Reduce, Allreduce, Gather, Scatter, Allgather, Allgatherv,
+Reduce_scatter) each take one path — select, observe, call: a manual
+override set with :meth:`set_collective_algorithm`, else
+:func:`repro.mpi.tuning.select` keyed on (collective, message bytes,
+communicator size), names an entry of
+:data:`repro.mpi.algorithms.REGISTRY`, where the defaults and the
+alternatives live side by side.  Large contiguous transfers inside
+collectives ride the zero-copy segment datapath
+(:mod:`repro.buffer.window`).
 
-===============  =================================================
-Barrier          dissemination (⌈log2 p⌉ rounds)
-Bcast            binomial tree
-Reduce           binomial tree (commutative ops), linear fold else
-Allreduce        Reduce to rank 0 + Bcast
-Gather/Scatter   linear to/from root
-Allgather        ring (p-1 steps)
-Allgatherv       Gatherv to rank 0 + Bcast
-Alltoall         pairwise non-blocking exchange
-Reduce_scatter   Reduce + Scatterv
-Scan/Exscan      linear chain
-===============  =================================================
-
-Unless a manual override is set with :meth:`set_collective_algorithm`,
-each tunable collective consults the decision table in
-:mod:`repro.mpi.tuning` on every call — keyed on (collective, message
-bytes, communicator size) — and may swap in one of the alternatives
-from :mod:`repro.mpi.algorithms` (Rabenseifner allreduce, pipelined
-trees, binomial gather/scatter, pairwise reduce-scatter, ring
-allgatherv...).  Large contiguous transfers inside collectives ride
-the zero-copy segment datapath (:mod:`repro.buffer.window`).
+The lowercase object collectives ride the buffer collectives with
+:data:`~repro.mpi.datatype.OBJECT`.
 
 Communicator construction (``dup``/``split``/``create``) agrees on new
 context ids with an Allreduce(MAX) over each rank's context counter —
@@ -44,15 +35,14 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from repro.mpi import algorithms, tuning
 from repro.mpi import op as ops
+from repro.mpi.algorithms import _local_copy
 from repro.mpi.comm import (
     Comm,
-    TAG_ALLGATHER,
     TAG_ALLTOALL,
     TAG_BARRIER,
-    TAG_BCAST,
     TAG_GATHER,
-    TAG_REDUCE,
     TAG_SCAN,
     TAG_SCATTER,
 )
@@ -100,28 +90,28 @@ class Intracomm(Comm):
         Must be called identically on every rank (like any collective
         tuning).  See :data:`repro.mpi.algorithms.REGISTRY` for choices.
         """
-        from repro.mpi import algorithms
-
         algorithms.validate(collective, algorithm)
         self._algorithms[collective] = algorithm
 
     def _select_algorithm(self, collective: str, nbytes: int):
         """Pick the algorithm for one collective call.
 
-        Manual override first, then the decision table (built-in or the
-        one loaded from ``REPRO_COLL_TUNING``), then the built-in
-        default.  Returns ``(name, callable-or-None)``; None means the
-        built-in implementation.  The key (collective, nbytes, size) is
-        identical on every rank, so selection is rank-consistent.
+        Manual override first, then :func:`repro.mpi.tuning.select`
+        (the ``REPRO_COLL_TUNING`` table, else the built-in default).
+        Returns ``(name, callable)``.  The key (collective, nbytes,
+        size) is identical on every rank, so selection is
+        rank-consistent.
         """
-        from repro.mpi import algorithms, tuning
-
-        name = self._algorithms.get(collective)
-        if name is None:
-            name = tuning.select(collective, nbytes, self.size())
-        if name is None or name not in algorithms.REGISTRY[collective]:
-            name = algorithms.DEFAULTS[collective]
+        name = self._algorithms.get(collective) or tuning.select(
+            collective, nbytes, self.size()
+        )
         return name, algorithms.REGISTRY[collective][name]
+
+    def _collective(self, collective: str, nbytes: int, *args) -> None:
+        """Select, observe, call: the one path of a tunable collective."""
+        name, fn = self._select_algorithm(collective, nbytes)
+        self._observe_collective(collective, nbytes, algorithm=name)
+        fn(self, *args)
 
     # ==================================================================
     # communicator construction
@@ -283,23 +273,6 @@ class Intracomm(Comm):
             return datatype_for(buf)
         raise MPIException("datatype may be omitted only for numpy arrays")
 
-    def _coll_nbytes(self, buf=None, count=0, datatype=None) -> int:
-        """Packed byte size of one collective operand (0 if unknown)."""
-        if not count:
-            return 0
-        try:
-            return self._resolve_type(buf, datatype).packed_size(count)
-        except Exception:  # noqa: BLE001 - observed later as a real error
-            return 0
-
-    def _coll_observe(
-        self, name, buf=None, count=0, datatype=None, algorithm=None
-    ) -> None:
-        """One metrics tick per collective call (repro.obs)."""
-        self._observe_collective(
-            name, self._coll_nbytes(buf, count, datatype), algorithm=algorithm
-        )
-
     def _check_vector_args(self, counts, displs=None) -> None:
         """Validate per-rank count/displacement vectors."""
         size = self.size()
@@ -318,7 +291,7 @@ class Intracomm(Comm):
     def Barrier(self) -> None:
         """Dissemination barrier: ⌈log2 p⌉ sendrecv rounds."""
         self._check_live()
-        self._coll_observe("barrier")
+        self._observe_collective("barrier")
         size, rank = self.size(), self.rank()
         if size == 1:
             return
@@ -350,45 +323,10 @@ class Intracomm(Comm):
         """Broadcast from *root* (algorithm selected per call)."""
         self._check_live()
         self._check_rank(root)
-        nbytes = self._coll_nbytes(buf, count, datatype)
-        algo, fn = self._select_algorithm("bcast", nbytes)
-        self._observe_collective("bcast", nbytes, algorithm=algo)
-        if fn is not None:
-            fn(self, buf, offset, count, self._resolve_type(buf, datatype), root)
-            return
-        self._bcast_binomial(buf, offset, count, datatype, root)
-
-    def _bcast_binomial(
-        self,
-        buf: Any,
-        offset: int,
-        count: int,
-        datatype: Optional[Datatype],
-        root: int,
-    ) -> None:
-        """Binomial-tree broadcast (the default algorithm)."""
-        size, rank = self.size(), self.rank()
-        if size == 1 or count == 0:
-            return
         datatype = self._resolve_type(buf, datatype)
-        relrank = (rank - root) % size
-
-        # Receive phase: the lowest set bit of relrank names the parent.
-        mask = 1
-        while mask < size:
-            if relrank & mask:
-                parent = (relrank - mask + size) % size
-                self._coll_recv(buf, offset, count, datatype, (parent + root) % size, TAG_BCAST)
-                break
-            mask <<= 1
-
-        # Send phase: fan out to children below the received bit.
-        mask >>= 1
-        while mask > 0:
-            if relrank + mask < size:
-                child = (relrank + mask) % size
-                self._coll_send(buf, offset, count, datatype, (child + root) % size, TAG_BCAST)
-            mask >>= 1
+        self._collective(
+            "bcast", datatype.packed_size(count), buf, offset, count, datatype, root
+        )
 
     def bcast(self, obj: Any = None, root: int = 0) -> Any:
         """Object broadcast: returns the root's object everywhere."""
@@ -437,72 +375,11 @@ class Intracomm(Comm):
         """Reduce *count* elements to *root* with *op*."""
         self._check_live()
         self._check_rank(root)
-        nbytes = self._coll_nbytes(sendbuf, count, datatype)
-        algo, fn = self._select_algorithm("reduce", nbytes)
-        self._observe_collective("reduce", nbytes, algorithm=algo)
         datatype = self._resolve_type(sendbuf, datatype)
-        if fn is not None:
-            fn(self, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root)
-            return
-        self._reduce_default(
-            sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root
+        self._collective(
+            "reduce", datatype.packed_size(count),
+            sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, root,
         )
-
-    def _reduce_default(
-        self,
-        sendbuf: Any,
-        sendoffset: int,
-        recvbuf: Any,
-        recvoffset: int,
-        count: int,
-        datatype: Datatype,
-        op: ops.Op,
-        root: int,
-    ) -> None:
-        """Binomial combine (commutative ops), linear gather-fold else."""
-        size, rank = self.size(), self.rank()
-        acc = self._reduce_local(sendbuf, sendoffset, count, datatype)
-        n = acc.size
-
-        if size > 1 and op.commute:
-            # Binomial combine toward root (virtual ranks).
-            relrank = (rank - root) % size
-            tmp = np.empty_like(acc)
-            mask = 1
-            while mask < size:
-                if relrank & mask:
-                    parent = ((relrank - mask) + root) % size
-                    self._coll_send(acc, 0, n, None, parent, TAG_REDUCE)
-                    break
-                child_rel = relrank + mask
-                if child_rel < size:
-                    child = (child_rel + root) % size
-                    self._coll_recv(tmp, 0, n, None, child, TAG_REDUCE)
-                    acc = op.reduce_arrays(acc, tmp)
-                mask <<= 1
-        elif size > 1:
-            # Non-commutative: gather to root, fold incrementally in rank
-            # order through one reused staging array.
-            if rank == root:
-                result: Optional[np.ndarray] = None
-                tmp = np.empty_like(acc)
-                for r in range(size):
-                    if r == rank:
-                        part = acc
-                    else:
-                        self._coll_recv(tmp, 0, n, None, r, TAG_REDUCE)
-                        part = tmp
-                    if result is None:
-                        result = part if part is acc else part.copy()
-                    else:
-                        result = op.reduce_arrays(result, part)
-                acc = result
-            else:
-                self._coll_send(acc, 0, n, None, root, TAG_REDUCE)
-
-        if rank == root:
-            flat = self._writable_flat(recvbuf)
-            flat[recvoffset : recvoffset + n] = acc
 
     def Allreduce(
         self,
@@ -514,17 +391,13 @@ class Intracomm(Comm):
         datatype: Optional[Datatype],
         op: ops.Op,
     ) -> None:
-        """Allreduce (algorithm selected per call; reduce+bcast default)."""
+        """Allreduce (algorithm selected per call)."""
         self._check_live()
         datatype = self._resolve_type(sendbuf, datatype)
-        nbytes = self._coll_nbytes(sendbuf, count, datatype)
-        algo, fn = self._select_algorithm("allreduce", nbytes)
-        self._observe_collective("allreduce", nbytes, algorithm=algo)
-        if fn is not None:
-            fn(self, sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op)
-            return
-        self.Reduce(sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op, 0)
-        self.Bcast(recvbuf, recvoffset, count, datatype, 0)
+        self._collective(
+            "allreduce", datatype.packed_size(count),
+            sendbuf, sendoffset, recvbuf, recvoffset, count, datatype, op,
+        )
 
     def Reduce_scatter(
         self,
@@ -540,39 +413,9 @@ class Intracomm(Comm):
         self._check_live()
         self._check_vector_args(recvcounts)
         datatype = self._resolve_type(sendbuf, datatype)
-        nbytes = self._coll_nbytes(sendbuf, int(sum(recvcounts)), datatype)
-        algo, fn = self._select_algorithm("reduce_scatter", nbytes)
-        self._observe_collective("reduce_scatter", nbytes, algorithm=algo)
-        if fn is not None:
-            fn(self, sendbuf, sendoffset, recvbuf, recvoffset, recvcounts, datatype, op)
-            return
-        self._reduce_scatter_default(
-            sendbuf, sendoffset, recvbuf, recvoffset, recvcounts, datatype, op
-        )
-
-    def _reduce_scatter_default(
-        self,
-        sendbuf: Any,
-        sendoffset: int,
-        recvbuf: Any,
-        recvoffset: int,
-        recvcounts: Sequence[int],
-        datatype: Datatype,
-        op: ops.Op,
-    ) -> None:
-        """Reduce to rank 0 + Scatterv; staging buffer at the root only."""
-        rank = self.rank()
-        total = int(sum(recvcounts))
-        full = (
-            np.empty(total * datatype.block_count, dtype=datatype.base_dtype)
-            if rank == 0
-            else None
-        )
-        self.Reduce(sendbuf, sendoffset, full, 0, total, datatype, op, 0)
-        displs = np.concatenate(([0], np.cumsum(recvcounts)[:-1])).astype(int)
-        self.Scatterv(
-            full, 0, list(recvcounts), list(displs), datatype,
-            recvbuf, recvoffset, int(recvcounts[rank]), datatype, 0,
+        self._collective(
+            "reduce_scatter", datatype.packed_size(int(sum(recvcounts))),
+            sendbuf, sendoffset, recvbuf, recvoffset, recvcounts, datatype, op,
         )
 
     def Scan(
@@ -639,43 +482,14 @@ class Intracomm(Comm):
         """Gather to *root*, rank i landing at block i."""
         self._check_live()
         self._check_rank(root)
-        nbytes = self._coll_nbytes(sendbuf, sendcount, sendtype) * self.size()
-        algo, fn = self._select_algorithm("gather", nbytes)
-        self._observe_collective("gather", nbytes, algorithm=algo)
         sendtype = self._resolve_type(sendbuf, sendtype)
-        if fn is not None:
-            if self.rank() == root:
-                recvtype = self._resolve_type(recvbuf, recvtype)
-            fn(self, sendbuf, sendoffset, sendcount, sendtype,
-               recvbuf, recvoffset, recvcount, recvtype, root)
-            return
-        self._gather_linear(sendbuf, sendoffset, sendcount, sendtype,
-                            recvbuf, recvoffset, recvcount, recvtype, root)
-
-    def _gather_linear(
-        self,
-        sendbuf: Any, sendoffset: int, sendcount: int, sendtype: Datatype,
-        recvbuf: Any, recvoffset: int, recvcount: int, recvtype: Optional[Datatype],
-        root: int,
-    ) -> None:
-        """Linear gather: every rank sends straight to the root."""
-        size, rank = self.size(), self.rank()
-        if rank != root:
-            self._coll_send(sendbuf, sendoffset, sendcount, sendtype, root, TAG_GATHER)
-            return
-        recvtype = self._resolve_type(recvbuf, recvtype)
-        requests = []
-        for r in range(size):
-            disp = recvoffset + r * recvcount * recvtype.extent
-            if r == rank:
-                _local_copy(sendbuf, sendoffset, sendcount, sendtype,
-                            recvbuf, disp, recvcount, recvtype, self._pool)
-            else:
-                requests.append(
-                    self._coll_irecv(recvbuf, disp, recvcount, recvtype, r, TAG_GATHER)
-                )
-        for req in requests:
-            req.wait()
+        if self.rank() == root:
+            recvtype = self._resolve_type(recvbuf, recvtype)
+        self._collective(
+            "gather", sendtype.packed_size(sendcount) * self.size(),
+            sendbuf, sendoffset, sendcount, sendtype,
+            recvbuf, recvoffset, recvcount, recvtype, root,
+        )
 
     def Gatherv(
         self,
@@ -716,43 +530,14 @@ class Intracomm(Comm):
         """Scatter from *root*, block i going to rank i."""
         self._check_live()
         self._check_rank(root)
-        nbytes = self._coll_nbytes(recvbuf, recvcount, recvtype) * self.size()
-        algo, fn = self._select_algorithm("scatter", nbytes)
-        self._observe_collective("scatter", nbytes, algorithm=algo)
         recvtype = self._resolve_type(recvbuf, recvtype)
-        if fn is not None:
-            if self.rank() == root:
-                sendtype = self._resolve_type(sendbuf, sendtype)
-            fn(self, sendbuf, sendoffset, sendcount, sendtype,
-               recvbuf, recvoffset, recvcount, recvtype, root)
-            return
-        self._scatter_linear(sendbuf, sendoffset, sendcount, sendtype,
-                             recvbuf, recvoffset, recvcount, recvtype, root)
-
-    def _scatter_linear(
-        self,
-        sendbuf: Any, sendoffset: int, sendcount: int, sendtype: Optional[Datatype],
-        recvbuf: Any, recvoffset: int, recvcount: int, recvtype: Datatype,
-        root: int,
-    ) -> None:
-        """Linear scatter: the root sends straight to every rank."""
-        size, rank = self.size(), self.rank()
-        if rank != root:
-            self._coll_recv(recvbuf, recvoffset, recvcount, recvtype, root, TAG_SCATTER)
-            return
-        sendtype = self._resolve_type(sendbuf, sendtype)
-        requests = []
-        for r in range(size):
-            disp = sendoffset + r * sendcount * sendtype.extent
-            if r == rank:
-                _local_copy(sendbuf, disp, sendcount, sendtype,
-                            recvbuf, recvoffset, recvcount, recvtype, self._pool)
-            else:
-                requests.append(
-                    self._coll_isend(sendbuf, disp, sendcount, sendtype, r, TAG_SCATTER)
-                )
-        for req in requests:
-            req.wait()
+        if self.rank() == root:
+            sendtype = self._resolve_type(sendbuf, sendtype)
+        self._collective(
+            "scatter", recvtype.packed_size(recvcount) * self.size(),
+            sendbuf, sendoffset, sendcount, sendtype,
+            recvbuf, recvoffset, recvcount, recvtype, root,
+        )
 
     def Scatterv(
         self,
@@ -790,44 +575,15 @@ class Intracomm(Comm):
         sendbuf: Any, sendoffset: int, sendcount: int, sendtype: Optional[Datatype],
         recvbuf: Any, recvoffset: int, recvcount: int, recvtype: Optional[Datatype],
     ) -> None:
-        """Allgather (default: ring, p-1 steps forwarding one block)."""
+        """Gather every rank's block everywhere (algorithm selected per call)."""
         self._check_live()
         sendtype = self._resolve_type(sendbuf, sendtype)
         recvtype = self._resolve_type(recvbuf, recvtype)
-        nbytes = self._coll_nbytes(sendbuf, sendcount, sendtype) * self.size()
-        algo, fn = self._select_algorithm("allgather", nbytes)
-        self._observe_collective("allgather", nbytes, algorithm=algo)
-        if fn is not None:
-            fn(self, sendbuf, sendoffset, sendcount, sendtype,
-               recvbuf, recvoffset, recvcount, recvtype)
-            return
-        self._allgather_ring(sendbuf, sendoffset, sendcount, sendtype,
-                             recvbuf, recvoffset, recvcount, recvtype)
-
-    def _allgather_ring(
-        self,
-        sendbuf: Any, sendoffset: int, sendcount: int, sendtype: Datatype,
-        recvbuf: Any, recvoffset: int, recvcount: int, recvtype: Datatype,
-    ) -> None:
-        """Ring allgather: p-1 steps, each forwarding one block."""
-        size, rank = self.size(), self.rank()
-        # Own block into place first.
-        own_disp = recvoffset + rank * recvcount * recvtype.extent
-        _local_copy(sendbuf, sendoffset, sendcount, sendtype,
-                    recvbuf, own_disp, recvcount, recvtype, self._pool)
-        if size == 1:
-            return
-        right = (rank + 1) % size
-        left = (rank - 1) % size
-        for step in range(size - 1):
-            send_block = (rank - step) % size
-            recv_block = (rank - step - 1) % size
-            send_disp = recvoffset + send_block * recvcount * recvtype.extent
-            recv_disp = recvoffset + recv_block * recvcount * recvtype.extent
-            rreq = self._coll_irecv(recvbuf, recv_disp, recvcount, recvtype, left, TAG_ALLGATHER)
-            sreq = self._coll_isend(recvbuf, send_disp, recvcount, recvtype, right, TAG_ALLGATHER)
-            rreq.wait()
-            sreq.wait()
+        self._collective(
+            "allgather", sendtype.packed_size(sendcount) * self.size(),
+            sendbuf, sendoffset, sendcount, sendtype,
+            recvbuf, recvoffset, recvcount, recvtype,
+        )
 
     def Allgatherv(
         self,
@@ -838,31 +594,13 @@ class Intracomm(Comm):
         """Allgather with per-rank counts and displacements."""
         self._check_live()
         self._check_vector_args(recvcounts, displs)
+        sendtype = self._resolve_type(sendbuf, sendtype)
         recvtype = self._resolve_type(recvbuf, recvtype)
-        nbytes = self._coll_nbytes(recvbuf, int(sum(recvcounts)), recvtype)
-        algo, fn = self._select_algorithm("allgatherv", nbytes)
-        self._observe_collective("allgatherv", nbytes, algorithm=algo)
-        if fn is not None:
-            sendtype = self._resolve_type(sendbuf, sendtype)
-            fn(self, sendbuf, sendoffset, sendcount, sendtype,
-               recvbuf, recvoffset, recvcounts, displs, recvtype)
-            return
-        self._allgatherv_gather_bcast(sendbuf, sendoffset, sendcount, sendtype,
-                                      recvbuf, recvoffset, recvcounts, displs, recvtype)
-
-    def _allgatherv_gather_bcast(
-        self,
-        sendbuf: Any, sendoffset: int, sendcount: int, sendtype: Optional[Datatype],
-        recvbuf: Any, recvoffset: int, recvcounts: Sequence[int],
-        displs: Sequence[int], recvtype: Datatype,
-    ) -> None:
-        """Gatherv to rank 0 + Bcast of the assembled span."""
-        self.Gatherv(sendbuf, sendoffset, sendcount, sendtype,
-                     recvbuf, recvoffset, recvcounts, displs, recvtype, 0)
-        total_span = max(
-            d + c for d, c in zip(displs, recvcounts)
-        ) if len(recvcounts) else 0
-        self.Bcast(recvbuf, recvoffset, int(total_span), recvtype, 0)
+        self._collective(
+            "allgatherv", recvtype.packed_size(int(sum(recvcounts))),
+            sendbuf, sendoffset, sendcount, sendtype,
+            recvbuf, recvoffset, recvcounts, displs, recvtype,
+        )
 
     def Alltoall(
         self,
@@ -871,26 +609,15 @@ class Intracomm(Comm):
     ) -> None:
         """Pairwise exchange: every rank sends block j to rank j."""
         self._check_live()
-        self._coll_observe("alltoall", sendbuf, sendcount, sendtype)
-        size, rank = self.size(), self.rank()
         sendtype = self._resolve_type(sendbuf, sendtype)
-        recvtype = self._resolve_type(recvbuf, recvtype)
-        requests = []
-        for r in range(size):
-            recv_disp = recvoffset + r * recvcount * recvtype.extent
-            send_disp = sendoffset + r * sendcount * sendtype.extent
-            if r == rank:
-                _local_copy(sendbuf, send_disp, sendcount, sendtype,
-                            recvbuf, recv_disp, recvcount, recvtype, self._pool)
-                continue
-            requests.append(
-                self._coll_irecv(recvbuf, recv_disp, recvcount, recvtype, r, TAG_ALLTOALL)
-            )
-            requests.append(
-                self._coll_isend(sendbuf, send_disp, sendcount, sendtype, r, TAG_ALLTOALL)
-            )
-        for req in requests:
-            req.wait()
+        self._observe_collective("alltoall", sendtype.packed_size(sendcount))
+        size = self.size()
+        self.Alltoallv(
+            sendbuf, sendoffset, [sendcount] * size,
+            [r * sendcount for r in range(size)], sendtype,
+            recvbuf, recvoffset, [recvcount] * size,
+            [r * recvcount for r in range(size)], recvtype,
+        )
 
     def Alltoallv(
         self,
@@ -928,62 +655,32 @@ class Intracomm(Comm):
 
     def gather(self, obj: Any, root: int = 0) -> Optional[list]:
         """Gather objects: root receives the rank-ordered list."""
-        self._check_live()
-        self._check_rank(root)
-        size, rank = self.size(), self.rank()
-        if rank != root:
-            self._coll_send([obj], 0, 1, OBJECT, root, TAG_GATHER)
-            return None
-        out: list = [None] * size
-        out[rank] = obj
-        for r in range(size):
-            if r != rank:
-                box = [None]
-                self._coll_recv(box, 0, 1, OBJECT, r, TAG_GATHER)
-                out[r] = box[0]
+        out = [None] * self.size() if self.rank() == root else None
+        self.Gather([obj], 0, 1, OBJECT, out, 0, 1, OBJECT, root)
         return out
 
     def scatter(self, objs: Optional[Sequence[Any]] = None, root: int = 0) -> Any:
         """Scatter a sequence of objects, one per rank."""
-        self._check_live()
-        self._check_rank(root)
-        size, rank = self.size(), self.rank()
-        if rank == root:
-            if objs is None or len(objs) != size:
-                raise MPIException(f"scatter needs exactly {size} items at the root")
-            for r in range(size):
-                if r != rank:
-                    self._coll_send([objs[r]], 0, 1, OBJECT, r, TAG_SCATTER)
-            return objs[rank]
+        size = self.size()
+        if self.rank() == root and (objs is None or len(objs) != size):
+            raise MPIException(f"scatter needs exactly {size} items at the root")
         box = [None]
-        self._coll_recv(box, 0, 1, OBJECT, root, TAG_SCATTER)
+        self.Scatter(objs, 0, 1, OBJECT, box, 0, 1, OBJECT, root)
         return box[0]
 
     def allgather(self, obj: Any) -> list:
-        """Gather objects everywhere (gather + bcast)."""
-        out = self.gather(obj, root=0)
-        return self.bcast(out, root=0)
+        """Gather objects everywhere."""
+        out = [None] * self.size()
+        self.Allgather([obj], 0, 1, OBJECT, out, 0, 1, OBJECT)
+        return out
 
     def alltoall(self, objs: Sequence[Any]) -> list:
         """Each rank sends item j to rank j; receives one from each."""
-        self._check_live()
-        size, rank = self.size(), self.rank()
+        size = self.size()
         if len(objs) != size:
             raise MPIException(f"alltoall needs exactly {size} items")
-        out: list = [None] * size
-        out[rank] = objs[rank]
-        requests = []
-        boxes: dict[int, list] = {}
-        for r in range(size):
-            if r == rank:
-                continue
-            boxes[r] = [None]
-            requests.append((r, self._coll_irecv(boxes[r], 0, 1, OBJECT, r, TAG_ALLTOALL)))
-            requests.append((-1, self._coll_isend([objs[r]], 0, 1, OBJECT, r, TAG_ALLTOALL)))
-        for r, req in requests:
-            req.wait()
-        for r, box in boxes.items():
-            out[r] = box[0]
+        out = [None] * size
+        self.Alltoall(objs, 0, 1, OBJECT, out, 0, 1, OBJECT)
         return out
 
     def reduce(self, obj: Any, op=None, root: int = 0) -> Any:
@@ -1015,23 +712,3 @@ class Intracomm(Comm):
             self._coll_send([acc], 0, 1, OBJECT, rank + 1, TAG_SCAN)
         return acc
 
-
-def _local_copy(
-    sendbuf, sendoffset, sendcount, sendtype,
-    recvbuf, recvoffset, recvcount, recvtype, pool,
-) -> None:
-    """Root's self-block: pack/unpack through a buffer, no device trip.
-
-    Going through the pack/unpack machinery (rather than a numpy slice
-    copy) keeps derived-datatype semantics identical for the local and
-    remote paths.
-    """
-    if sendcount == 0:
-        return
-    staging = pool.acquire(sendtype.packed_size(sendcount) + 64)
-    try:
-        sendtype.pack(staging, sendbuf, sendoffset, sendcount)
-        staging.commit()
-        recvtype.unpack(staging, recvbuf, recvoffset, recvcount)
-    finally:
-        staging.free()

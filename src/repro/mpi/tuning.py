@@ -3,15 +3,16 @@
 Every tunable collective call consults a :class:`DecisionTable` keyed
 on (collective, message bytes, communicator size) — the same shape as
 MPICH's ``coll_tuning`` tables or Open MPI's ``coll_tuned`` decision
-functions.  Three layers, first hit wins:
+functions.  First hit wins:
 
 1. A per-communicator manual override
    (:meth:`~repro.mpi.intracomm.Intracomm.set_collective_algorithm`).
 2. The table named by the ``REPRO_COLL_TUNING`` environment variable —
    a JSON file produced by ``python -m repro.bench tune-coll`` (or by
    hand; the format is below).
-3. :data:`BUILTIN`, thresholds picked from smdev benchmarks on this
-   codebase (see BENCH_collectives.json and docs/performance.md).
+3. :data:`repro.mpi.algorithms.DEFAULTS`, picked from smdev benchmarks
+   on this codebase (see BENCH_collectives.json and
+   docs/performance.md).
 
 Table JSON format (``repro-coll-tuning-v1``)::
 
@@ -29,7 +30,7 @@ Table JSON format (``repro-coll-tuning-v1``)::
 Each collective maps to an ordered rule list; a rule matches when the
 message is at most ``max_bytes`` AND the communicator at most
 ``max_procs`` (either bound may be omitted = unbounded); the first
-match names the algorithm.  No match falls through to the next layer.
+match names the algorithm.  No match means the built-in default.
 Selection inputs are identical on every rank, so every rank picks the
 same algorithm — the property that keeps mixed-algorithm deadlocks
 impossible by construction.
@@ -42,6 +43,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
+from repro.mpi import algorithms
 from repro.mpi.exceptions import MPIException
 
 #: Environment variable naming a tuned decision-table JSON file.
@@ -100,12 +102,12 @@ class DecisionTable:
             coll: list(rules) for coll, rules in (tables or {}).items()
         }
 
-    def choose(self, collective: str, nbytes: int, nprocs: int) -> Optional[str]:
-        """The first matching algorithm name, or None (no opinion)."""
+    def choose(self, collective: str, nbytes: int, nprocs: int) -> str:
+        """The first matching rule's algorithm, else the built-in default."""
         for rule in self.tables.get(collective, ()):
             if rule.matches(nbytes, nprocs):
                 return rule.algorithm
-        return None
+        return algorithms.DEFAULTS[collective]
 
     # -- (de)serialization ----------------------------------------------
 
@@ -120,8 +122,6 @@ class DecisionTable:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "DecisionTable":
-        from repro.mpi import algorithms
-
         if data.get("format") != FORMAT:
             raise MPIException(
                 f"tuning table format {data.get('format')!r} is not {FORMAT!r}"
@@ -144,35 +144,6 @@ class DecisionTable:
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-
-#: Built-in decision table.  Thresholds come from interleaved smdev
-#: 8-rank sweeps (``python -m repro.bench tune-coll`` — see
-#: BENCH_collectives.json): on shared memory, payload handoff is by
-#: reference, so wire-bandwidth terms vanish and message count plus
-#: root serialization dominate.  That inverts the textbook large-
-#: message picture: the bandwidth-optimal algorithms (Rabenseifner,
-#: recursive doubling, ring) trade one big transfer for many partial
-#: ones, which is exactly the wrong trade when transfers are
-#: reference handoffs — so flat linear trees and the composed
-#: reduce+bcast (whose sub-collectives tune themselves through this
-#: same table) win at every measured size.  Re-tune for
-#: network fabrics and load via ``REPRO_COLL_TUNING`` — there the
-#: crossovers flip back toward the bandwidth-optimal algorithms (the
-#: netsim models in repro.netsim.collectives show where).  An empty
-#: rule list means the built-in default (algorithms.DEFAULTS) always
-#: wins.
-BUILTIN = DecisionTable(
-    {
-        "bcast": [Rule("linear")],
-        "reduce": [Rule("linear")],
-        "allreduce": [],  # default reduce_bcast + self-tuned subs wins
-        "allgather": [Rule("gather_bcast")],
-        "allgatherv": [],  # default gather_bcast wins at every size
-        "gather": [],  # default linear wins at every size
-        "scatter": [],  # default linear wins at every size
-        "reduce_scatter": [],  # default reduce_scatterv wins at every size
-    }
-)
 
 # Cache for the env-named table: (env value, table-or-None).  The env
 # value is re-read on every select() so tests (and long-running tools)
@@ -199,15 +170,14 @@ def _env_table() -> Optional[DecisionTable]:
     return table
 
 
-def select(collective: str, nbytes: int, nprocs: int) -> Optional[str]:
-    """Pick an algorithm for one collective call, or None (use default).
+def select(collective: str, nbytes: int, nprocs: int) -> str:
+    """Pick the algorithm for one collective call.
 
-    Consults the ``REPRO_COLL_TUNING`` table first (when set and
-    loadable), then :data:`BUILTIN`.
+    The ``REPRO_COLL_TUNING`` table's first matching rule (when the
+    variable is set and the file loads), else
+    :data:`repro.mpi.algorithms.DEFAULTS`.
     """
     table = _env_table()
-    if table is not None:
-        choice = table.choose(collective, nbytes, nprocs)
-        if choice is not None:
-            return choice
-    return BUILTIN.choose(collective, nbytes, nprocs)
+    if table is None:
+        return algorithms.DEFAULTS[collective]
+    return table.choose(collective, nbytes, nprocs)

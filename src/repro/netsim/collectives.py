@@ -269,13 +269,11 @@ def crosscheck(
     benchmarks trump models, so disagreement is a flag to re-measure,
     not an error.
     """
-    from repro.mpi.algorithms import DEFAULTS
-
     rows = []
     for collective, p, m in cells:
         times = compare(lib, collective, p, m)
         best = min(times, key=times.get)
-        chosen = table.choose(collective, m, p) or DEFAULTS[collective]
+        chosen = table.choose(collective, m, p)
         predicted = times.get(chosen)
         rows.append(
             {

@@ -65,6 +65,46 @@ class TestGatherScatter:
 
         assert all(run_spmd(main, nprocs))
 
+    @pytest.mark.parametrize("pick", ["last", "middle"])
+    def test_gather_any_root(self, nprocs, pick):
+        root = nprocs - 1 if pick == "last" else nprocs // 2
+
+        def main(env):
+            comm = env.COMM_WORLD
+            return comm.gather({"rank": comm.rank()}, root=root)
+
+        results = run_spmd(main, nprocs)
+        assert results[root] == [{"rank": r} for r in range(nprocs)]
+        assert all(got is None for r, got in enumerate(results) if r != root)
+
+    @pytest.mark.parametrize("pick", ["last", "middle"])
+    def test_scatter_any_root(self, nprocs, pick):
+        root = nprocs - 1 if pick == "last" else nprocs // 2
+
+        def main(env):
+            comm = env.COMM_WORLD
+            items = None
+            if comm.rank() == root:
+                items = tuple(("item", i) for i in range(comm.size()))
+            return comm.scatter(items, root=root)
+
+        assert run_spmd(main, nprocs) == [("item", r) for r in range(nprocs)]
+
+    def test_scatter_wrong_length_any_root(self, nprocs):
+        root = nprocs - 1
+
+        def main(env):
+            comm = env.COMM_WORLD
+            if comm.rank() == root:
+                with pytest.raises(mpi.MPIException):
+                    comm.scatter([1] * (comm.size() - 1), root=root)
+                with pytest.raises(mpi.MPIException):
+                    comm.scatter(None, root=root)
+                return comm.scatter(list(range(comm.size())), root=root)
+            return comm.scatter(None, root=root)
+
+        assert run_spmd(main, nprocs) == list(range(nprocs))
+
     def test_allgather(self, nprocs):
         def main(env):
             comm = env.COMM_WORLD

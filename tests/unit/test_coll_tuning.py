@@ -1,5 +1,6 @@
 """Decision-table selection: rules, JSON round-trips, env loading,
-netsim cross-checks, and labeled metrics names."""
+the built-in defaults (golden selection table, netsim cross-checks),
+and collective metrics."""
 
 import json
 import warnings
@@ -9,7 +10,7 @@ import pytest
 
 from repro import mpi
 from repro.mpi import algorithms, tuning
-from repro.mpi.tuning import BUILTIN, DecisionTable, Rule
+from repro.mpi.tuning import DecisionTable, Rule
 from repro.runtime.launcher import run_spmd
 
 
@@ -33,7 +34,8 @@ class TestRules:
         )
         assert table.choose("bcast", 50, 8) == "linear"
         assert table.choose("bcast", 200, 8) == "scatter_allgather"
-        assert table.choose("reduce", 50, 8) is None  # no opinion
+        # No rule for reduce: the built-in default.
+        assert table.choose("reduce", 50, 8) == algorithms.DEFAULTS["reduce"]
 
     def test_bad_rule_rejected(self):
         with pytest.raises(mpi.MPIException):
@@ -81,8 +83,8 @@ class TestEnvLoading:
         DecisionTable({"bcast": [Rule("linear")]}).save(str(path))
         monkeypatch.setenv(tuning.ENV, str(path))
         assert tuning.select("bcast", 1 << 20, 8) == "linear"
-        # No opinion on reduce -> falls through to BUILTIN.
-        assert tuning.select("reduce", 16, 8) == BUILTIN.choose("reduce", 16, 8)
+        # No rule for reduce -> the built-in default.
+        assert tuning.select("reduce", 16, 8) == algorithms.DEFAULTS["reduce"]
 
     def test_bad_file_warns_and_falls_back(self, tmp_path, monkeypatch):
         path = tmp_path / "broken.json"
@@ -93,37 +95,35 @@ class TestEnvLoading:
             warnings.simplefilter("always")
             choice = tuning.select("allreduce", 64, 8)
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
-        assert choice == BUILTIN.choose("allreduce", 64, 8)
+        assert choice == algorithms.DEFAULTS["allreduce"]
 
     def test_unset_env_uses_builtin(self, monkeypatch):
         monkeypatch.delenv(tuning.ENV, raising=False)
-        assert tuning.select("allreduce", 64, 8) == BUILTIN.choose(
-            "allreduce", 64, 8
-        )
+        assert tuning.select("allreduce", 64, 8) == algorithms.DEFAULTS["allreduce"]
 
 
 class TestBuiltinTable:
     def test_every_rule_names_a_registered_algorithm(self):
-        for coll, rules in BUILTIN.tables.items():
-            assert coll in algorithms.REGISTRY
-            for rule in rules:
-                assert rule.algorithm in algorithms.REGISTRY[coll]
+        """Every default names a registry entry, and every registry
+        entry is a real function (no special-cased built-ins)."""
+        assert set(algorithms.DEFAULTS) == set(algorithms.REGISTRY)
+        for coll, name in algorithms.DEFAULTS.items():
+            assert name in algorithms.REGISTRY[coll]
+        for choices in algorithms.REGISTRY.values():
+            assert all(callable(fn) for fn in choices.values())
 
     def test_every_collective_resolves_at_any_size(self):
-        """Selection + DEFAULTS fallback always yields a valid name."""
+        """Selection always yields a registered name."""
         for coll in algorithms.REGISTRY:
             for nbytes in (0, 1024, 1 << 17, 1 << 24):
                 for nprocs in (1, 2, 8, 64):
-                    name = tuning.select(coll, nbytes, nprocs) or algorithms.DEFAULTS[
-                        coll
-                    ]
-                    assert name in algorithms.REGISTRY[coll]
+                    assert tuning.select(coll, nbytes, nprocs) in algorithms.REGISTRY[coll]
 
     def test_netsim_crosscheck(self):
-        """BUILTIN choices stay within 4x of the analytic model optimum
+        """The defaults stay within 4x of the analytic model optimum
         except for a documented set of shared-memory divergences.
 
-        BUILTIN is tuned on smdev, where payload moves by reference and
+        The defaults are tuned on smdev, where payload moves by reference and
         bandwidth terms vanish; the Hockney-style network models favour
         bandwidth-optimal algorithms at 1 MB that lose on shared
         memory.  Benchmarks trump models — the divergent cells below
@@ -143,7 +143,8 @@ class TestBuiltinTable:
             for p in (4, 8)
             for m in (1024, 1 << 20)
         ]
-        rows = crosscheck(lib, BUILTIN, cells, slack=4.0)
+        # A table with no rules selects exactly algorithms.DEFAULTS.
+        rows = crosscheck(lib, DecisionTable(), cells, slack=4.0)
         divergent = {
             (r["collective"], r["procs"], r["bytes"])
             for r in rows
@@ -206,8 +207,7 @@ class TestTuningChangesAlgorithm:
 
         expected = list(range(64))
         assert all(buf == expected for buf, _ in default_run + tuned_run)
-        # Default path: linear (64 int64 = 512B, under the smdev
-        # small-message threshold in BUILTIN).
+        # Default path: linear (algorithms.DEFAULTS).
         assert any(
             c.get("coll.bcast{algorithm=linear}") for c in counters_for(default_run)
         )
@@ -220,3 +220,93 @@ class TestTuningChangesAlgorithm:
             c.get("coll.bcast{algorithm=scatter_allgather}")
             for c in counters_for(tuned_run)
         )
+
+
+class TestGoldenSelection:
+    #: The algorithm every tunable collective selected with no override
+    #: and REPRO_COLL_TUNING unset, recorded on the code base before the
+    #: defaults moved into algorithms.REGISTRY.  Constant over the grid.
+    GOLDEN = {
+        "allgather": "gather_bcast",
+        "allgatherv": "gather_bcast",
+        "allreduce": "reduce_bcast",
+        "bcast": "linear",
+        "gather": "linear",
+        "reduce": "linear",
+        "reduce_scatter": "reduce_scatterv",
+        "scatter": "linear",
+    }
+    SIZES = (0, 8, 64 << 10, 1 << 20, 16 << 20)
+
+    @pytest.mark.parametrize("nprocs", [1, 2, 3, 8])
+    def test_selection_matches_recorded_table(self, nprocs, monkeypatch):
+        monkeypatch.delenv(tuning.ENV, raising=False)
+        sizes = self.SIZES
+
+        def main(env):
+            comm = env.COMM_WORLD
+            return {
+                coll: [comm._select_algorithm(coll, n)[0] for n in sizes]
+                for coll in algorithms.REGISTRY
+            }
+
+        expected = {coll: [name] * len(sizes) for coll, name in self.GOLDEN.items()}
+        assert run_spmd(main, nprocs) == [expected] * nprocs
+
+
+class TestCollectiveMetrics:
+    @staticmethod
+    def _coll_metrics(env):
+        snap = env.device.engine.metrics.snapshot()
+        counters = {
+            k: v for k, v in snap.get("counters", {}).items() if k.startswith("coll.")
+        }
+        return counters, snap.get("histograms", {}).get("coll.bytes")
+
+    def test_allreduce_counts_user_calls_only(self):
+        """The composed reduce+bcast allreduce must not tick the
+        sub-collectives it runs: one coll.allreduce tick and one
+        coll.bytes observation per user call."""
+
+        def main(env):
+            comm = env.COMM_WORLD
+            send = np.full(1, comm.rank() + 1.0)
+            recv = np.empty(1)
+            for _ in range(10):
+                comm.Allreduce(send, 0, recv, 0, 1, mpi.DOUBLE, mpi.SUM)
+            return recv[0], TestCollectiveMetrics._coll_metrics(env)
+
+        for total, (counters, nbytes) in run_spmd(main, 2, device="niodev"):
+            assert total == 3.0
+            assert counters == {
+                "coll.allreduce": 10,
+                "coll.allreduce{algorithm=reduce_bcast}": 10,
+            }
+            assert (nbytes["count"], nbytes["sum"]) == (10, 80)
+
+    CALLS = {
+        "allgather": lambda c, a, b: c.Allgather(a, 0, 2, None, b, 0, 2, None),
+        "allgatherv": lambda c, a, b: c.Allgatherv(
+            a, 0, 2, None, b, 0, [2] * c.size(), [2 * r for r in range(c.size())], None
+        ),
+        "reduce_scatter": lambda c, a, b: c.Reduce_scatter(
+            b, 0, a, 0, [2] * c.size(), None, mpi.SUM
+        ),
+    }
+
+    @pytest.mark.parametrize("collective", sorted(CALLS))
+    def test_composed_defaults_tick_once(self, collective):
+        """Composed defaults (gather+bcast, reduce+scatterv) count as
+        one call of the user's collective."""
+        call = self.CALLS[collective]
+
+        def main(env):
+            comm = env.COMM_WORLD
+            a = np.full(2, comm.rank(), dtype=np.int64)
+            b = np.zeros(2 * comm.size(), dtype=np.int64)
+            call(comm, a, b)
+            return TestCollectiveMetrics._coll_metrics(env)
+
+        for counters, nbytes in run_spmd(main, 3):
+            assert {k for k in counters if "{" not in k} == {f"coll.{collective}"}
+            assert nbytes["count"] == 1
