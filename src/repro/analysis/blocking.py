@@ -1,7 +1,7 @@
 """no-block-in-poller: poller/input-handler threads must never block.
 
 PR 6's two-poller deadlock proof rests on one rule: the procdev
-progress poller and the smdev input handler only ever *try* — a full
+progress poller and the niodev input handler only ever *try* — a full
 outbound ring defers, it never waits.  This checker makes the rule
 structural:
 
@@ -16,7 +16,7 @@ structural:
    ``get``.
 
 Designed-blocking sites (the bounded doorbell in ``Backoff.wait``, a
-handler blocking on its *own* inbox) carry inline
+selector blocking on its *own* readiness) carry inline
 ``# reprolint: allow[no-block-in-poller] -- why`` waivers; an allow on
 a *call site* line prunes that edge, so the deliberate
 ``fork_rendezvous_writer=False`` ablation can be waived at the inline

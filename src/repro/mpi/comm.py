@@ -260,10 +260,6 @@ class Comm(AttributeMixin):
         base_count = count * datatype.block_count
         if SECTION_OVERHEAD + base_count * base_np.itemsize <= engine.eager_threshold:
             return None
-        if writable and not engine.transport.retains_segments:
-            # A non-retaining transport would stage the landing through
-            # scratch storage anyway; keep the packed path's pooling.
-            return None
         if not buf.flags.c_contiguous:
             return None
         if writable and not buf.flags.writeable:

@@ -1,13 +1,16 @@
 """Request and Status — completion objects shared by every layer.
 
 A :class:`Request` is created pending and flipped to complete exactly
-once by the device (usually from the input-handler thread) while user
+once by the device (from a progress thread, or from the sending thread
+on smdev's inline delivery) while user
 threads block in :meth:`Request.wait` or poll :meth:`Request.test`.
 Completion must therefore be thread-safe and must also feed two side
 channels the paper relies on:
 
-* the device's *completed-request queue*, which backs the blocking
-  ``peek()`` method (Section IV-E.1), and
+* the device's *completed-request store*, which backs the blocking
+  ``peek()`` method (Section IV-E.1) — a request leaves it once
+  :meth:`Request.wait`/:meth:`Request.test` has handed its outcome to
+  the owner, so the store holds only requests nobody has seen yet, and
 * the per-request ``waitany`` reference used by the multi-threaded
   ``Waitany()`` implementation ("each Request object stores a
   reference to WaitAny object ... otherwise the reference is null").
@@ -86,6 +89,8 @@ class Request:
         "t_post",
         "trace_id",
         "endpoint",
+        "handed",
+        "on_handed",
     )
 
     # Class-wide creation counter.  itertools.count is effectively
@@ -118,6 +123,11 @@ class Request:
         #: Endpoint of the posting thread (protocol engine); decides
         #: which completion shard this request lands on.
         self.endpoint: int = 0
+        #: True once wait()/test() has returned this request's outcome
+        #: to its owner; on_handed (the completed-request store's
+        #: discard) then runs once, so the store forgets it.
+        self.handed = False
+        self.on_handed: Optional[Callable[["Request"], None]] = None
         self.seqno = next(Request._seq)
 
     # ------------------------------------------------------------------
@@ -176,6 +186,16 @@ class Request:
             return self._exc is not None
 
     @property
+    def status(self) -> Optional[Status]:
+        """The Status once complete (None while pending or failed).
+
+        Unlike :meth:`test`, reading it does not hand the request over:
+        observers (tracers, listeners) use it, owners use test/wait.
+        """
+        with self._cond:
+            return self._status
+
+    @property
     def error(self) -> Optional[BaseException]:
         """The failure cause, or None if pending/completed."""
         with self._cond:
@@ -219,9 +239,9 @@ class Request:
         complete.
         """
         with self._cond:
-            if self._exc is not None:
-                self._raise_failure()
-            return self._status if self._done else None
+            if not self._done:
+                return None
+        return self._hand_over()
 
     def wait(self, timeout: Optional[float] = None) -> Status:
         """Block until complete and return the Status.
@@ -235,10 +255,24 @@ class Request:
                     f"{self.kind} request (tag={self.tag}, peer={self.peer}) "
                     f"did not complete within {timeout}s"
                 )
-            if self._exc is not None:
-                self._raise_failure()
-            assert self._status is not None
-            return self._status
+        return self._hand_over()
+
+    def _hand_over(self) -> Status:
+        """Return the outcome of a done request to its owner.
+
+        The first hand-over takes the request out of the device's
+        completed-request store (``on_handed``); the flag is set first
+        so a store push racing with it sees the request as handed.
+        """
+        self.handed = True
+        hook = self.on_handed
+        if hook is not None:
+            self.on_handed = None
+            hook(self)
+        if self._exc is not None:
+            self._raise_failure()
+        assert self._status is not None
+        return self._status
 
     # mpijava spelling
     Wait = wait

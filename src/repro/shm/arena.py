@@ -101,9 +101,10 @@ class SegmentArena:
     def close(self) -> dict[str, int]:
         """Unlink everything; returns pool/leak counts for diagnostics.
 
-        In-flight segments are unlinked too — at close time their
-        receivers are gone or going, and an unlinked block stays
-        mapped in any process still reading it, so this is safe and
+        In-flight segments are unlinked too — procdev first waits a
+        bounded time for peers to release them, so what is left belongs
+        to receivers that are gone or already mapped it (an unlinked
+        block stays mapped in any process still reading it).  This
         guarantees no named leftovers.
         """
         with self._lock:

@@ -7,8 +7,8 @@ Three cooperating pieces:
   injects seeded, deterministic frame-level faults (delays, safe
   reordering, duplicated RTS/RTR, truncated payloads);
 * :mod:`repro.testing.scheduler` — a seeded interleaving scheduler
-  for smdev's per-rank frame queues, replaying delivery choices from
-  a PRNG seed;
+  on smdev's delivery seam, replaying delivery choices from a PRNG
+  seed;
 * :mod:`repro.testing.watchdog` — lock-order cycle detection over the
   engine's locks plus a stuck-progress watchdog with trace-integrated
   stall reports.
@@ -26,7 +26,7 @@ from repro.testing.chaos import (
     seed_from_env,
 )
 from repro.testing.scheduler import (
-    ScheduledInbox,
+    ScheduledFabric,
     SeededSchedule,
     make_scheduled_fabric,
 )
@@ -46,7 +46,7 @@ __all__ = [
     "ChaosTransport",
     "SEED_ENV_VAR",
     "seed_from_env",
-    "ScheduledInbox",
+    "ScheduledFabric",
     "SeededSchedule",
     "make_scheduled_fabric",
     "wait_until",

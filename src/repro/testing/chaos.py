@@ -17,7 +17,10 @@ matter how threads interleave, and a failing run can be replayed with
 Fault safety rules (so chaos breaks implementations, not semantics):
 
 * only RTS/RTR control frames are duplicated — the engine must reject
-  the duplicates loudly (:class:`~repro.xdev.exceptions.DuplicateControlFrameError`);
+  the duplicates loudly (:class:`~repro.xdev.exceptions.DuplicateControlFrameError`).
+  The copy follows its original directly, and rendezvous data to that
+  peer waits until it has landed: a copy arriving after its handshake
+  finished would be a new message, not a duplicate;
 * frames are reordered only across *different* ``(context, tag)``
   matching keys, preserving MPI's per-stream non-overtaking rule;
 * payload truncation is off by default (it loses the message by
@@ -125,11 +128,13 @@ class ChaosEvent:
 
 class _HeldFrame:
     __slots__ = (
-        "dest", "segments", "match_key", "generation", "on_delivered", "route"
+        "dest", "segments", "match_key", "generation", "on_delivered",
+        "duplicate",
     )
 
     def __init__(
-        self, dest, segments, match_key, generation, on_delivered=None, route=0
+        self, dest, segments, match_key, generation, on_delivered=None,
+        duplicate=False,
     ):
         self.dest = dest
         self.segments = segments
@@ -138,10 +143,9 @@ class _HeldFrame:
         # The engine's delivery fence rides along with a held frame:
         # the sender's memory stays referenced until the hold ends.
         self.on_delivered = on_delivered
-        # Content route (endpoint inbox) the frame releases on — a
-        # frame keeps its route through hold/swap/duplicate, so chaos
-        # perturbs timing, never demux.
-        self.route = route
+        # A duplicated control frame is held with its copy, which is
+        # written right after it on release.
+        self.duplicate = duplicate
 
 
 #: Frame types whose delivery order is matching-relevant: they enter
@@ -163,11 +167,6 @@ class ChaosTransport(Transport):
     #: retains segments regardless of what the inner transport does.
     retains_segments = True
 
-    @property
-    def routed(self) -> bool:  # type: ignore[override]
-        """Chaos demuxes exactly as its inner transport does."""
-        return bool(getattr(self.inner, "routed", False))
-
     def __init__(self, inner: Transport, config: ChaosConfig) -> None:
         self.inner = inner
         self.config = config
@@ -178,10 +177,14 @@ class ChaosTransport(Transport):
         #: dest uid -> held frame awaiting a reorder partner.
         self._held: dict[int, _HeldFrame] = {}
         self._generation = 0
-        #: dest uid -> lock serializing inner.write (the engine's
-        #: channel lock no longer suffices once the timer flusher can
-        #: also write).
+        #: dest uid -> lock serializing inner.write on stream transports
+        #: (the engine's channel lock no longer suffices once the timer
+        #: flusher can also write).
         self._write_locks: dict[int, threading.Lock] = {}
+        #: dest uid -> duplicated frames being written, and the
+        #: RNDZ_DATA frames deferred until those writes finish.
+        self._dup_writes: dict[int, int] = {}
+        self._deferred: dict[int, list[tuple]] = {}
         self._events: list[ChaosEvent] = []
         self._closed = False
 
@@ -263,58 +266,86 @@ class ChaosTransport(Transport):
             return lock
 
     #: Same-dest ordering comes from this transport's own per-dest
-    #: ``_write_lock`` — it has to, because replay/delay threads write
-    #: too and the engine's channel lock cannot cover them.  Declaring
-    #: it makes the engine skip its channel lock, so the inner
-    #: transport's prepare_write (which may take the conn-cache lock)
-    #: never runs under 'channel'.
+    #: ``_write_lock`` (or from the inner transport itself) — it has
+    #: to, because replay/delay threads write too and the engine's
+    #: channel lock cannot cover them.  Declaring it makes the engine
+    #: skip its channel lock, so the inner transport's prepare_write
+    #: (which may take the conn-cache lock) never runs under 'channel'.
     self_locking = True
 
-    def prepare_write(self, dest: ProcessID, route: int = 0) -> None:
+    def prepare_write(self, dest: ProcessID) -> None:
         """No-op: delayed/replayed frames perform the actual inner
         write on chaos worker threads, so the inner transport's
         prepare/finish (which pins per-*thread* state) must bracket
         :meth:`_inner_write` on whichever thread runs it — not the
         caller's thread here."""
 
-    def finish_write(self, dest: ProcessID, route: int = 0) -> None:
+    def finish_write(self, dest: ProcessID) -> None:
         """No-op; see :meth:`prepare_write`."""
 
     def extend_peers(self, pids) -> int:
         return self.inner.extend_peers(pids)
 
-    def _inner_write(
-        self, dest: ProcessID, segments, on_delivered=None, route: int = 0
-    ) -> None:
-        self.inner.prepare_write(dest, route)
+    def _inner_write(self, dest: ProcessID, segments, on_delivered=None) -> None:
+        inner = self.inner
+        inner.prepare_write(dest)
         try:
-            self._locked_inner_write(dest, segments, on_delivered, route)
-        finally:
-            self.inner.finish_write(dest, route)
-
-    def _locked_inner_write(
-        self, dest: ProcessID, segments, on_delivered=None, route: int = 0
-    ) -> None:
-        with self._write_lock(dest):
-            if self.routed:
-                if on_delivered is not None and self.inner.retains_segments:
-                    self.inner.write(dest, segments, on_delivered, route=route)
-                    return
-                self.inner.write(dest, segments, route=route)
-            elif on_delivered is not None and self.inner.retains_segments:
-                self.inner.write(dest, segments, on_delivered)
-                return
+            if inner.self_locking:
+                # The inner transport orders its own writes, and an
+                # inline one (smdev) runs the receiver's frame handling
+                # inside write(): holding a lock across it would let two
+                # ranks writing to each other deadlock.
+                inner.write(dest, segments)
             else:
-                self.inner.write(dest, segments)
+                with self._write_lock(dest):
+                    inner.write(dest, segments)
+        finally:
+            inner.finish_write(dest)
         if on_delivered is not None:
             on_delivered()
 
-    def write(
-        self, dest: ProcessID, segments, on_delivered=None, route: int = 0
+    def _emit(
+        self, dest: ProcessID, segments, on_delivered=None, duplicate=False
     ) -> None:
+        """Write one frame — twice, back to back, when duplicated.
+
+        On an inline inner transport (smdev) the original's whole
+        rendezvous can run inside its write.  RNDZ_DATA to *dest* is
+        deferred until the copy has landed (see :meth:`write`), so the
+        copy always meets an open handshake and is rejected as a
+        duplicate instead of being matched as a new message.
+        """
+        if not duplicate:
+            self._inner_write(dest, segments, on_delivered)
+            return
+        with self._lock:
+            self._dup_writes[dest.uid] = self._dup_writes.get(dest.uid, 0) + 1
+        try:
+            self._inner_write(dest, segments, on_delivered)
+            self._inner_write(dest, segments)
+        finally:
+            with self._lock:
+                left = self._dup_writes.pop(dest.uid) - 1
+                if left:
+                    self._dup_writes[dest.uid] = left
+                    deferred = []
+                else:
+                    deferred = self._deferred.pop(dest.uid, [])
+        for deferred_segments, fence in deferred:
+            self.write(dest, deferred_segments, fence)
+
+    def write(self, dest: ProcessID, segments, on_delivered=None) -> None:
         if self._closed:
             raise XDevException("chaos transport closed")
         header = FrameHeader.decode(segments[0])
+        if header.type == FrameType.RNDZ_DATA:
+            with self._lock:
+                if self._dup_writes.get(dest.uid):
+                    # Decided (occurrence, faults) when it is replayed.
+                    self._deferred.setdefault(dest.uid, []).append(
+                        (segments, on_delivered)
+                    )
+                    return
         occ = self._next_occurrence(header)
         rng = self._frame_rng(header, occ)
         cfg = self.config
@@ -367,7 +398,7 @@ class ChaosTransport(Transport):
                 self._generation += 1
                 held_entry = _HeldFrame(
                     dest, segments, match_key, self._generation, on_delivered,
-                    route,
+                    duplicate,
                 )
                 self._held[dest.uid] = held_entry
 
@@ -378,32 +409,27 @@ class ChaosTransport(Transport):
             )
             timer.daemon = True
             timer.start()
-            # The duplicate decision still applies to a held RTS:
-            # send the copy now, the original later.  (Duplicable
-            # control frames never carry a delivery fence.)
+            # The duplicate decision still applies to a held control
+            # frame: its copy is released with it.
             if duplicate:
                 self._record("duplicate", header, occ)
-                self._inner_write(dest, segments, route=route)
             return
 
         if released is not None and swap:
             self._record("swap", header, occ)
-            self._inner_write(dest, segments, on_delivered, route=route)
-            self._inner_write(
-                released.dest, released.segments, released.on_delivered,
-                route=released.route,
-            )
-        elif released is not None:
-            self._inner_write(
-                released.dest, released.segments, released.on_delivered,
-                route=released.route,
-            )
-            self._inner_write(dest, segments, on_delivered, route=route)
-        else:
-            self._inner_write(dest, segments, on_delivered, route=route)
         if duplicate:
             self._record("duplicate", header, occ)
-            self._inner_write(dest, segments, route=route)
+        if released is not None and swap:
+            self._emit(dest, segments, on_delivered, duplicate)
+            self._release(released)
+        elif released is not None:
+            self._release(released)
+            self._emit(dest, segments, on_delivered, duplicate)
+        else:
+            self._emit(dest, segments, on_delivered, duplicate)
+
+    def _release(self, entry: _HeldFrame) -> None:
+        self._emit(entry.dest, entry.segments, entry.on_delivered, entry.duplicate)
 
     def _flush_held(self, dest: ProcessID, entry: _HeldFrame) -> None:
         """Timer valve: a held frame with no reorder partner must still
@@ -413,9 +439,7 @@ class ChaosTransport(Transport):
             if current is None or current.generation != entry.generation:
                 return  # already released by a later write
             del self._held[dest.uid]
-        self._inner_write(
-            entry.dest, entry.segments, entry.on_delivered, route=entry.route
-        )
+        self._release(entry)
 
     def flush(self) -> None:
         """Deliver every held frame now (tests call this at barriers)."""
@@ -423,9 +447,7 @@ class ChaosTransport(Transport):
             held = list(self._held.values())
             self._held.clear()
         for entry in held:
-            self._inner_write(
-                entry.dest, entry.segments, entry.on_delivered, route=entry.route
-            )
+            self._release(entry)
 
     def close(self) -> None:
         self._closed = True

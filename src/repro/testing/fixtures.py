@@ -18,7 +18,7 @@ Fixtures:
 
 ``seeded_schedule``
     A :class:`~repro.testing.scheduler.SeededSchedule` plus a factory
-    for smdev jobs whose inboxes replay it.
+    for smdev jobs whose deliveries replay it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def make_chaos_job(
 ):
     """Stand up *nprocs* chaosdev-wrapped smdev ranks on one fabric.
 
-    *endpoints* overrides the ``REPRO_ENDPOINTS`` inbox/shard count so
+    *endpoints* overrides the ``REPRO_ENDPOINTS`` shard count so
     a test can pin the sharding degree without env juggling.
     """
     cfg = config if config is not None else ChaosConfig.torture(seed)

@@ -190,7 +190,7 @@ def instrument_engine(engine, graph: LockGraph, label: Optional[str] = None) -> 
     set: every matching-shard lock, the wildcard-domain lock (acquired
     only after its shards — the ordering the LockGraph verifies), the
     send-set and rendezvous-id locks, the per-endpoint completion
-    shard locks, and the (dest, route shard) channel locks.  Returns
+    shard locks, and the per-destination channel locks.  Returns
     *graph* for chaining.
     """
     # Node names are built from the canonical lock classes in
@@ -214,19 +214,15 @@ def instrument_engine(engine, graph: LockGraph, label: Optional[str] = None) -> 
 
     guard = engine._channel_locks_guard
     channel_locks = engine._channel_locks
-    endpoints = engine.endpoints
-    routed = engine._routed
 
-    def channel_lock(dest, route=0):
-        shard = route % endpoints if routed else 0
-        key = (dest.uid, shard)
+    def channel_lock(dest):
         with guard:
-            lock = channel_locks.get(key)
+            lock = channel_locks.get(dest.uid)
             if lock is None:
                 lock = InstrumentedLock(
-                    graph, f"{me}:{locknames.CHANNEL}->{dest.uid}.{shard}"
+                    graph, f"{me}:{locknames.CHANNEL}->{dest.uid}"
                 )
-                channel_locks[key] = lock
+                channel_locks[dest.uid] = lock
             return lock
 
     # Instance attribute shadows the bound method.

@@ -137,10 +137,7 @@ class TracingDevice(Device):
             if event.size is None:
                 # Receives learn their size only at match time; capture
                 # it so summary()'s bytes_received is not undercounted.
-                try:
-                    status = _req.test()
-                except Exception:  # noqa: BLE001 - failed request
-                    status = None
+                status = _req.status
                 if status is not None:
                     event.size = status.size
             self._sink_complete(event)

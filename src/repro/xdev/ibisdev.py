@@ -34,7 +34,7 @@ from typing import Optional
 
 from repro.buffer import Buffer
 from repro.mpjdev.request import Request, Status
-from repro.xdev.completion import CompletedQueue
+from repro.xdev.completion import CompletionShards
 from repro.xdev.constants import ANY_SOURCE, ANY_TAG
 from repro.xdev.device import Device, DeviceConfig, register_device
 from repro.xdev.exceptions import (
@@ -96,7 +96,7 @@ class IbisDevice(Device):
     def __init__(self) -> None:
         self._fabric: IbisFabric | None = None
         self._rank = -1
-        self._completed = CompletedQueue()
+        self._completed = CompletionShards()
         self._finished = False
         self._max_threads = DEFAULT_MAX_THREADS
         self._poll_interval = DEFAULT_POLL_INTERVAL
@@ -319,4 +319,4 @@ class IbisDevice(Device):
 
     def peek(self, timeout: float | None = None) -> Request:
         self._check_live()
-        return self._completed.peek(timeout=timeout)
+        return self._completed.pop_latest(timeout=timeout)

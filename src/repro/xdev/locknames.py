@@ -6,7 +6,7 @@ reason about them:
 
 * the **dynamic** side — :mod:`repro.testing.watchdog` builds its
   lock-graph node names from these constants (``rank0:recv-shard2``,
-  ``rank1:channel->3.0``), so stall snapshots and lock-order violation
+  ``rank1:channel->3``), so stall snapshots and lock-order violation
   reports speak this vocabulary;
 * the **static** side — the reprolint lock-order checker
   (:mod:`repro.analysis.locks`) maps ``with``/``acquire()`` sites in
@@ -41,7 +41,8 @@ Rank order (outermost first):
     a write never dials or evicts while holding a channel — taking the
     cache lock under a channel lock is a hierarchy violation the
     static checker flags.
-7.  ``channel`` — per-(destination, route-shard) write locks.
+7.  ``channel`` — per-destination write locks (not taken for
+    self-locking transports: smdev, chaosdev).
 8.  ``proc-out`` — procdev's per-destination outbound-ring locks
     (restore the SPSC single-producer invariant under the channel
     lock).

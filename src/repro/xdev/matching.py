@@ -168,7 +168,8 @@ class MessageQueues:
 
         Probes the four keys and claims the earliest-posted compatible
         receive; otherwise indexes the message under all four keys and
-        returns None (Figs 5 and 8: the input handler's match-or-add).
+        returns None (Figs 5 and 8: the input handler's match-or-add,
+        run by the sending thread itself on smdev).
         """
         self.counters["arrivals"] += 1
         cand = self.best_posted(msg)
@@ -334,8 +335,8 @@ class ShardedMatcher:
 
     ``N`` :class:`MessageQueues` shards, each behind its own lock, plus
     a **wildcard domain** for receives that cannot name a shard.  A
-    frame's shard is ``route_of(context, tag) % N``, the same content
-    hash that picks its smdev inbox, so each shard's lock is only ever
+    frame's shard is ``route_of(context, tag) % N``, a content hash,
+    so each shard's lock is only ever
     contended by the threads actually sharing that traffic stream.
     Because the route ignores the source, an ``ANY_SOURCE`` receive
     with a concrete tag still maps to exactly one shard — every message

@@ -27,7 +27,7 @@ import threading
 
 from repro.buffer import Buffer
 from repro.mpjdev.request import Request, Status
-from repro.xdev.completion import CompletedQueue
+from repro.xdev.completion import CompletionShards
 from repro.xdev.constants import ANY_SOURCE, ANY_TAG
 from repro.xdev.device import Device, DeviceConfig, register_device
 from repro.xdev.exceptions import ConnectionSetupError, DeviceFinishedError, XDevException
@@ -97,7 +97,7 @@ class MXDevice(Device):
         self._fabric: MXFabric | None = None
         self._rank = -1
         self._endpoint = None
-        self._completed = CompletedQueue()
+        self._completed = CompletionShards()
         self._finished = False
         self._probe_lock = threading.Lock()
 
@@ -277,4 +277,4 @@ class MXDevice(Device):
 
     def peek(self, timeout: float | None = None) -> Request:
         self._check_live()
-        return self._completed.peek(timeout=timeout)
+        return self._completed.pop_latest(timeout=timeout)

@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.xdev.completion import CompletedQueue
+from repro.xdev.completion import CompletionShards
 from repro.xdev.exceptions import XDevException
 
 
@@ -65,6 +65,10 @@ class MXRequest:
         "endpoint",
         "_listeners",
     )
+
+    #: mx_peek reports every completion, waited on or not: MX requests
+    #: are never handed over out of the endpoint's completed store.
+    handed = False
 
     def __init__(self, kind: str, context=None) -> None:
         self.kind = kind
@@ -147,7 +151,7 @@ class MXEndpoint:
         self._recvs: deque[_PostedRecv] = deque()
         self._unexpected: deque[_Unexpected] = deque()
         self._seq = itertools.count(1)
-        self._completed = CompletedQueue()
+        self._completed = CompletionShards()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -362,7 +366,7 @@ class MXLibrary:
 
     def mx_peek(self, endpoint: MXEndpoint, timeout: Optional[float] = None) -> MXRequest:
         """Block until a request on *endpoint* completes; most recent first."""
-        return endpoint._completed.peek(timeout=timeout)
+        return endpoint._completed.pop_latest(timeout=timeout)
 
     def mx_iprobe(
         self, endpoint: MXEndpoint, match_recv: int, match_mask: int = ~0
@@ -387,4 +391,4 @@ class MXLibrary:
         """Requests become visible to mx_peek on their owning endpoint:
         a send on the sender's endpoint, a recv on the receiver's."""
         if request.endpoint is not None:
-            request.endpoint._completed._push(request)
+            request.endpoint._completed.push(request)

@@ -595,7 +595,7 @@ class NIOTransport(Transport):
     # writing (called by the engine; prepare/finish bracket the
     # channel lock, write runs under it)
 
-    def prepare_write(self, dest: ProcessID, route: int = 0) -> None:
+    def prepare_write(self, dest: ProcessID) -> None:
         if self._closed:
             raise XDevException("transport closed")
         if dest.uid == self._my_uid:
@@ -606,7 +606,7 @@ class NIOTransport(Transport):
             stack = self._pinned.stack = []
         stack.append(entry)
 
-    def finish_write(self, dest: ProcessID, route: int = 0) -> None:
+    def finish_write(self, dest: ProcessID) -> None:
         if dest.uid == self._my_uid:
             return
         stack = getattr(self._pinned, "stack", None) or []
@@ -622,14 +622,12 @@ class NIOTransport(Transport):
                 return stack[i]
         return None
 
-    def write(self, dest: ProcessID, segments, route: int = 0) -> None:
-        # *route* is accepted for signature uniformity with routed
-        # transports but ignored: one TCP bytestream per peer means two
-        # in-flight writes to the same dest would interleave bytes and
-        # corrupt framing, so niodev keeps ``routed = False`` and one
-        # channel lock per destination.  Endpoint demux for stream
-        # transports happens on the *receive* side instead — the input
-        # handler hands each decoded frame to the engine, whose
+    def write(self, dest: ProcessID, segments) -> None:
+        # One TCP bytestream per peer: two in-flight writes to the same
+        # dest would interleave bytes and corrupt framing, so niodev
+        # relies on the engine's one channel lock per destination.
+        # Endpoint demux happens on the *receive* side instead — the
+        # input handler hands each decoded frame to the engine, whose
         # ShardedMatcher picks the (context, tag) shard by content.
         if self._closed:
             raise XDevException("transport closed")

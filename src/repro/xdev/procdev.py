@@ -33,9 +33,9 @@ Datapath:
 
 The transport is *consuming* (``retains_segments = False``): every
 write lands in shared memory before returning, so the engine fires
-delivery fences itself, and it is *unrouted*: one SPSC ring per
-directed rank pair regardless of endpoint count (the matching shards
-still parallelize above it).
+delivery fences itself.  There is one SPSC ring per directed rank pair
+regardless of endpoint count (the matching shards still parallelize
+above it).
 
 Two wiring modes share all of the above:
 
@@ -134,7 +134,7 @@ class ProcFabric:
 class ProcTransport(Transport):
     """Shared-memory ring transport between process (or thread) ranks.
 
-    Consuming and unrouted: ``write`` copies/gathers into shared
+    Consuming: ``write`` copies/gathers into shared
     memory and returns; one progress thread per rank polls the N
     inbound rings.  Writes issued *by* that progress thread (the
     engine's RTR control frames, the transport's own RELEASE notices)
@@ -147,7 +147,6 @@ class ProcTransport(Transport):
     """
 
     retains_segments = False
-    routed = False
 
     def __init__(
         self,
@@ -205,7 +204,7 @@ class ProcTransport(Transport):
         )
         self._poller.start()
 
-    def write(self, dest: ProcessID, segments, on_delivered=None, route: int = 0) -> None:
+    def write(self, dest: ProcessID, segments) -> None:
         if self._closed:
             raise XDevException("transport closed")
         drank = self._uid_to_rank.get(dest.uid)
@@ -372,8 +371,16 @@ class ProcTransport(Transport):
     def close(self) -> None:
         if self._closed:
             return
-        self._closed = True
         poller = self._poller
+        if poller is not None and poller is not threading.current_thread():
+            # A peer attaches a spill segment by name when it reads the
+            # handle: unlinking one it has not mapped yet loses that
+            # frame.  While the poller still runs, give the peers'
+            # RELEASE notices a bounded time to arrive.
+            deadline = time.monotonic() + 2.0
+            while self._arena.inflight_names() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        self._closed = True
         if poller is not None and poller is not threading.current_thread():
             poller.join(timeout=5)
         for seg in self._attached.values():

@@ -2,8 +2,8 @@
 
 This module implements, once, the communication protocols that the
 paper implements inside niodev, so that every pure-Python transport
-(TCP sockets in :mod:`repro.xdev.niodev`, in-process pipes in
-:mod:`repro.xdev.smdev`) runs *identical* protocol code — the paper
+(TCP sockets in :mod:`repro.xdev.niodev`, shared-memory rings in
+:mod:`repro.xdev.procdev`, inline delivery in :mod:`repro.xdev.smdev`) runs *identical* protocol code — the paper
 offers its pseudocode "as a blueprint for developing other thread-safe
 devices", and this engine is that blueprint made executable.
 
@@ -17,16 +17,15 @@ Locking discipline (paper Section IV-A, endpoint-sharded):
   (Figs 6, 8).
 * a ``rendezvous-ids`` lock — guards the recv-id table and active-RTS
   set (id-addressed state, not part of any matching shard).
-* **channel locks per (destination, route shard)** — serialize writes
-  to a peer; "every thread that tries to write a message first
-  acquires the associated lock".  On routed transports (smdev's
-  per-endpoint inboxes) frames with different content routes commute,
-  so each (dest, shard) pair gets its own lock; on stream transports
-  (niodev sockets) all routes share the dest's single lock because
-  socket bytes must not interleave.
-* No lock for reading: input-handler threads (one per endpoint inbox
-  on smdev) demultiplex frames by content route, so two handlers never
-  touch the same matching shard's stream.
+* **channel locks, one per destination** — serialize writes to a peer;
+  "every thread that tries to write a message first acquires the
+  associated lock".  Stream transports (niodev sockets, procdev rings)
+  need it because two interleaved writes would corrupt the stream.  A
+  transport that orders its own writes (:attr:`Transport.self_locking`:
+  smdev's synchronous inline delivery, chaosdev) skips it.
+* No lock for reading: frames reach :meth:`ProtocolEngine.handle_frame`
+  from the transport's progress thread (niodev's input handler,
+  procdev's poller) or, on smdev, from the sending thread itself.
 
 The two locks taken by a rendezvous send are acquired *one after the
 other*, never nested ("to avoid blocking other user threads sending
@@ -58,12 +57,7 @@ from repro.obs.metrics import MetricsRegistry, make_registry
 from repro.obs.tracing import dump_metrics, writer_for
 from repro.xdev.completion import CompletionShards
 from repro.xdev.constants import ANY_SOURCE
-from repro.xdev.endpoints import (
-    EndpointBinding,
-    endpoint_count,
-    route_of,
-    route_of_id,
-)
+from repro.xdev.endpoints import EndpointBinding, endpoint_count
 from repro.xdev.exceptions import (
     DeviceFinishedError,
     DuplicateControlFrameError,
@@ -79,11 +73,6 @@ from repro.xdev.processid import ProcessID
 #: dip at 128 KB comes from this constant.
 DEFAULT_EAGER_THRESHOLD = 128 * 1024
 
-#: Eager staging on retaining transports: below this wire size the
-#: segments are joined into one immutable ``bytes`` (cheaper than a
-#: pool round trip plus a delivery fence for small messages).
-_STAGE_JOIN_MAX = 8 * 1024
-
 MODE_STANDARD = "standard"
 MODE_SYNC = "sync"
 MODE_READY = "ready"
@@ -95,53 +84,45 @@ class Transport(abc.ABC):
     """What the protocol engine needs from a byte transport.
 
     ``write`` must deliver the segment list to *dest* intact and in
-    order w.r.t. other writes to the same destination; the engine
-    guarantees it never calls ``write`` concurrently for one
-    destination (the channel lock), but does call it concurrently for
-    *different* destinations.
+    order w.r.t. other writes to the same destination; unless the
+    transport is :attr:`self_locking`, the engine guarantees it never
+    calls ``write`` concurrently for one destination (the channel
+    lock), but does call it concurrently for *different* destinations.
 
     Segment lifetime (the zero-copy contract): a transport whose
     ``write`` may keep referencing the caller's segment memory after
-    returning — queue transports that enqueue by reference, decorators
-    that hold frames back — must set :attr:`retains_segments` and
-    accept the engine's ``on_delivered`` fence, invoking it exactly
-    once when the segments are no longer needed.  A transport that
-    consumes the segments before ``write`` returns (TCP ``sendmsg``
-    copies into the kernel) leaves the default ``False`` and never
-    sees the fence: the engine fires it itself after ``write``.
+    returning — decorators that hold frames back — must set
+    :attr:`retains_segments` and accept the engine's ``on_delivered``
+    fence, invoking it exactly once when the segments are no longer
+    needed.  A transport that consumes the segments before ``write``
+    returns (TCP ``sendmsg`` copies into the kernel, smdev delivers
+    inline) leaves the default ``False`` and never sees the fence: the
+    engine fires it itself after ``write``.
     """
 
     #: True when write() may reference segments after returning; such
     #: transports must implement ``write(dest, segments, on_delivered)``.
     retains_segments: bool = False
 
-    #: True when the transport demultiplexes frames by content route —
-    #: it accepts ``write(..., route=r)`` and delivers frames with
-    #: different routes independently (per-endpoint inboxes).  The
-    #: engine then shards channel locks per (dest, route shard); for
-    #: the default False (byte-stream transports like TCP) all routes
-    #: to one dest share a single channel lock, because interleaving
-    #: two writes would corrupt the stream.
-    routed: bool = False
-
-    #: True when the transport serializes same-destination writes
-    #: itself (decorators like ChaosTransport, whose replay threads
-    #: must share the serialization lock with caller threads anyway).
-    #: The engine then skips its channel lock entirely — holding it
-    #: across such a transport's ``write`` would stack the engine's
-    #: channel lock *over* the inner transport's ``prepare_write``
-    #: resources (the conn-cache, rank 55 < channel 60): a hierarchy
-    #: inversion.
+    #: True when the transport orders same-destination writes itself:
+    #: smdev, whose synchronous delivery keeps each thread's frames in
+    #: write order, and decorators like ChaosTransport, whose replay
+    #: threads must share one ordering with caller threads.  The engine
+    #: then skips its channel lock.  Holding it across such a write
+    #: would hold it across the receiver's frame handling (smdev: two
+    #: ranks answering each other deadlock) or over the inner
+    #: transport's ``prepare_write`` resources (the conn-cache, rank
+    #: 55 < channel 60: a hierarchy inversion).
     self_locking: bool = False
 
     @abc.abstractmethod
     def start(self, engine: "ProtocolEngine") -> None:
         """Begin delivering inbound frames to ``engine.handle_frame``."""
 
-    def prepare_write(self, dest: ProcessID, route: int = 0) -> None:
+    def prepare_write(self, dest: ProcessID) -> None:
         """Reserve transport resources for an imminent ``write``.
 
-        Called by the engine *before* it takes the (dest, route shard)
+        Called by the engine *before* it takes the destination's
         channel lock, paired with :meth:`finish_write` after the lock
         is released.  Connection-oriented transports use this to dial
         or evict under their own cache lock while **no** channel lock
@@ -151,7 +132,7 @@ class Transport(abc.ABC):
         behind a slow connect.  Default: no-op.
         """
 
-    def finish_write(self, dest: ProcessID, route: int = 0) -> None:
+    def finish_write(self, dest: ProcessID) -> None:
         """Release resources reserved by :meth:`prepare_write`.
 
         Called in a ``finally`` after the channel lock is released, so
@@ -164,7 +145,7 @@ class Transport(abc.ABC):
 
     @abc.abstractmethod
     def close(self) -> None:
-        """Stop the input handler and release transport resources."""
+        """Stop delivering inbound frames and release resources."""
 
     def extend_peers(self, pids: list[ProcessID]) -> int:
         """Teach the transport new peers without touching live state.
@@ -178,9 +159,9 @@ class Transport(abc.ABC):
         return 0
 
     def introspect(self) -> dict[str, Any]:
-        """Transport-specific live depths (inbox backlog, selector
-        state); folded into ``device.introspect()``.  Best-effort and
-        lock-free — numbers may be momentarily stale."""
+        """Transport-specific live depths (deliveries in flight,
+        selector state); folded into ``device.introspect()``.
+        Best-effort and lock-free — numbers may be momentarily stale."""
         return {}
 
 
@@ -259,25 +240,23 @@ class ProtocolEngine:
         self.trace_label = trace_label
         #: Per-device copy/move accounting (see docs/performance.md).
         self.copy_stats = self.metrics.copy_stats
-        #: Device-level scratch storage: eager staging on retaining
-        #: transports, receive scratch and unexpected-message storage.
+        #: Device-level scratch storage: receive scratch and
+        #: unexpected-message storage.
         self.raw_pool = RawPool(stats=self.copy_stats)
         #: Paper Fig. 8 forks a "rendez-write-thread" per RTR so the
         #: input handler never blocks on a large write.  Disabling this
-        #: (ablation) performs the write on the input-handler thread —
-        #: the configuration the paper warns can deadlock.
+        #: (ablation) performs the write on the thread handling the RTR
+        #: — the configuration the paper warns can deadlock on a
+        #: progress-thread transport.
         self.fork_rendezvous_writer = fork_rendezvous_writer
 
         #: Endpoint count (option > REPRO_ENDPOINTS env > default) and
         #: the sticky round-robin thread → endpoint binding.
         self.endpoints = endpoint_count(endpoints)
         self._binding = EndpointBinding(self.endpoints)
-        #: Whether the transport demultiplexes by content route (smdev
-        #: per-endpoint inboxes); decides channel-lock sharding and
-        #: whether ``write`` receives the route.
-        self._routed = bool(getattr(transport, "routed", False))
-        #: Whether the transport serializes same-dest writes itself
-        #: (ChaosTransport); the engine then skips its channel lock.
+        #: Whether the transport orders same-dest writes itself
+        #: (smdev, ChaosTransport); the engine then skips its channel
+        #: lock.
         self._self_locking = bool(getattr(transport, "self_locking", False))
 
         # receive-communication-sets, sharded per endpoint (the seed's
@@ -300,8 +279,8 @@ class ProtocolEngine:
         self._send_lock = threading.Lock()
         self._pending_sends: dict[int, _PendingSend] = {}
 
-        # per-(destination, route shard) channel locks
-        self._channel_locks: dict[tuple[int, int], threading.Lock] = {}
+        # per-destination channel locks
+        self._channel_locks: dict[int, threading.Lock] = {}
         self._channel_locks_guard = threading.Lock()
 
         # completed-request shards backing peek(), one per endpoint
@@ -369,21 +348,13 @@ class ProtocolEngine:
     # ------------------------------------------------------------------
     # plumbing
 
-    def channel_lock(self, dest: ProcessID, route: int = 0) -> threading.Lock:
-        """The write lock for *dest*'s channel, created on first use.
-
-        On a routed transport each (dest, route shard) gets its own
-        lock — writes on different routes land in different endpoint
-        inboxes and commute; on a stream transport every route maps to
-        shard 0, the seed's one-lock-per-destination discipline.
-        """
-        shard = route % self.endpoints if self._routed else 0
-        key = (dest.uid, shard)
+    def channel_lock(self, dest: ProcessID) -> threading.Lock:
+        """The write lock for *dest*'s channel, created on first use."""
         with self._channel_locks_guard:
-            lock = self._channel_locks.get(key)
+            lock = self._channel_locks.get(dest.uid)
             if lock is None:
                 lock = threading.Lock()
-                self._channel_locks[key] = lock
+                self._channel_locks[dest.uid] = lock
             return lock
 
     def _check_live(self) -> None:
@@ -391,9 +362,11 @@ class ProtocolEngine:
             raise DeviceFinishedError("device has been finished")
 
     def _track(self, request: Request) -> Request:
-        """Register *request* with the completed-queue for peek()."""
+        """Register *request* with the completed-request store for
+        peek(); it leaves the store once wait()/test() hands it over."""
         if self._metrics_on:
             request.t_post = time.monotonic()
+        request.on_handed = self._completions.discard
         request.add_completion_listener(self._on_complete)
         return request
 
@@ -409,25 +382,20 @@ class ProtocolEngine:
         # its endpoint's completion shard.
         with self._completions_lock:
             self.stats["completions"] += 1
-        self._completions.push(request, getattr(request, "endpoint", 0))
+        self._completions.push(request, request.endpoint)
 
     def _write(
         self,
         dest: ProcessID,
         segments: list[bytes | memoryview],
         on_delivered: Optional[Callable[[], None]] = None,
-        route: int = 0,
     ) -> None:
-        """Write under the (destination, route shard) channel lock.
+        """Write under the destination's channel lock.
 
         *on_delivered* fires exactly once when the transport no longer
         references the segment memory: immediately after ``write``
         returns for consuming transports, or from the transport's own
-        delivery path for retaining ones (queue transports, chaosdev).
-
-        *route* is the frame's content route (see
-        :mod:`repro.xdev.endpoints`): it picks the channel-lock shard
-        and, on routed transports, the destination endpoint inbox.
+        delivery path for retaining ones (chaosdev).
         """
         # Resource reservation (connection pin/dial/evict) happens
         # BEFORE the channel lock: the cache lock ranks below the
@@ -435,22 +403,18 @@ class ProtocolEngine:
         # hierarchy violation (and would serialize a dial behind
         # unrelated writes).  finish_write runs after release, even on
         # a failed write.
-        self.transport.prepare_write(dest, route)
-        handed_off = False
+        transport = self.transport
+        handed_off = on_delivered is not None and transport.retains_segments
+        args = (dest, segments, on_delivered) if handed_off else (dest, segments)
+        transport.prepare_write(dest)
         try:
             if self._self_locking:
-                # The transport orders same-dest writes with its own
-                # lock (its replay threads must share that lock with
-                # caller threads, so the engine's channel lock could
-                # not serialize them anyway).  Skipping the channel
-                # lock here also keeps the engine from holding
-                # 'channel' over the inner transport's prepare_write
-                # resources — a hierarchy inversion.
-                handed_off = self._dispatch_write(
-                    dest, segments, on_delivered, route
-                )
+                # The transport orders same-dest writes itself, and may
+                # run the receiver's frame handling inside write()
+                # (smdev): no engine lock may be held across it.
+                transport.write(*args)
             else:
-                lock = self.channel_lock(dest, route)
+                lock = self.channel_lock(dest)
                 if self._metrics_on:
                     t0 = time.monotonic()
                     lock.acquire()
@@ -460,38 +424,13 @@ class ProtocolEngine:
                 else:
                     lock.acquire()
                 try:
-                    handed_off = self._dispatch_write(dest, segments, on_delivered, route)  # reprolint: allow[lock-order] -- abstract dispatch fans to every Transport.write, including self-locking decorators whose closure reaches conn-cache via inner.prepare_write; those transports are dynamically routed to the unlocked branch above and never reach this line
+                    transport.write(*args)  # reprolint: allow[lock-order] -- abstract dispatch fans to every Transport.write; the self-locking ones (chaosdev, whose inner prepare_write reaches conn-cache, and smdev, whose inline delivery reaches the receiver's locks) take the unlocked branch above and never reach this line
                 finally:
                     lock.release()
         finally:
-            self.transport.finish_write(dest, route)
+            transport.finish_write(dest)
         if on_delivered is not None and not handed_off:
             on_delivered()
-
-    def _dispatch_write(
-        self,
-        dest: ProcessID,
-        segments: list,
-        on_delivered: Optional[Callable[[], None]],
-        route: int,
-    ) -> bool:
-        """Invoke ``transport.write`` with the right signature.
-
-        Returns True when the transport took ownership of the
-        *on_delivered* fence (retaining transports), so the caller
-        must not fire it itself.
-        """
-        if self._routed:
-            if on_delivered is not None and self.transport.retains_segments:
-                self.transport.write(dest, segments, on_delivered, route=route)
-                return True
-            self.transport.write(dest, segments, route=route)
-        elif on_delivered is not None and self.transport.retains_segments:
-            self.transport.write(dest, segments, on_delivered)
-            return True
-        else:
-            self.transport.write(dest, segments)
-        return False
 
     # ------------------------------------------------------------------
     # sends
@@ -516,10 +455,6 @@ class ProtocolEngine:
         request.context, request.tag, request.peer = context, tag, dest
         ep = self._binding.current()
         request.endpoint = ep
-        # Content route: every frame of this (context, tag, src) stream
-        # takes the same channel-lock shard and destination inbox, so
-        # the non-overtaking rule holds structurally.
-        route = route_of(context, tag)
 
         if mode == MODE_SYNC:
             use_eager = False
@@ -538,10 +473,10 @@ class ProtocolEngine:
         if use_eager:
             # Fig. 3: lock dest channel / send the data / unlock /
             # return a non-pending send request object.  A consuming
-            # transport (sendmsg) gathers the live segments — zero
-            # staging; a retaining transport (in-process queues) gets
-            # a stable staged copy so the request can still complete
-            # non-pending while the frame sits in the peer's inbox.
+            # transport (sendmsg, smdev's inline delivery) gathers the
+            # live segments — zero staging; a retaining transport
+            # (chaosdev holding frames back) gets one immutable copy so
+            # the request can still complete non-pending.
             self.stats["eager_sends"] += 1
             self._h_eager_bytes.observe(buf.size)
             lc = self.clock.tick()
@@ -552,28 +487,21 @@ class ProtocolEngine:
                     tag=tag, ctx=context, size=buf.size, proto="eager", ep=ep,
                     lc=lc, fq=flow_seq,
                 )
-            payload, release = self._stable_segments(segments, wire_len)
-            try:
-                self._write(
-                    dest,
-                    encode_frame(
-                        FrameType.EAGER,
-                        context,
-                        tag,
-                        payload=payload,
-                        clock=lc,
-                        flow_src=self.my_pid.uid,
-                        flow_seq=flow_seq,
-                    ),
-                    on_delivered=release,
-                    route=route,
-                )
-            except BaseException:
-                # A transport that raises from write() never fires the
-                # delivery fence; release the staging here or it leaks.
-                if release is not None:
-                    release()
-                raise
+            if self.transport.retains_segments:
+                segments = [b"".join(segments)]
+                self.copy_stats.copied(len(segments[0]))
+            self._write(
+                dest,
+                encode_frame(
+                    FrameType.EAGER,
+                    context,
+                    tag,
+                    payload=segments,
+                    clock=lc,
+                    flow_src=self.my_pid.uid,
+                    flow_seq=flow_seq,
+                ),
+            )
             request.complete(Status(source=self.my_pid, tag=tag, size=buf.size))
             if tracer is not None:
                 tracer.emit("send.complete", id=request.trace_id, size=buf.size)
@@ -604,9 +532,11 @@ class ProtocolEngine:
             )
         # The RTS advertises the message payload size in the (otherwise
         # unused) recv_id header field so probes can report an accurate
-        # count before the data transfer happens.  It shares the data
-        # stream's route: RTS frames must not overtake eager frames of
-        # the same stream.
+        # count before the data transfer happens.  Stamp it before the
+        # write: an inline transport runs the receiver's answer, and
+        # its rtr.in, inside that write.
+        if tracer is not None:
+            tracer.emit("rts.out", id=send_id, peer=dest.uid, fq=flow_seq)
         try:
             self._write(
                 dest,
@@ -620,7 +550,6 @@ class ProtocolEngine:
                     flow_src=self.my_pid.uid,
                     flow_seq=flow_seq,
                 ),
-                route=route,
             )
         except BaseException:
             # The RTS never left: un-park the send or it sits in the
@@ -628,43 +557,7 @@ class ProtocolEngine:
             with self._send_lock:
                 self._pending_sends.pop(send_id, None)
             raise
-        if tracer is not None:
-            tracer.emit("rts.out", id=send_id, peer=dest.uid, fq=flow_seq)
         return request
-
-    def _stable_segments(
-        self, segments: list[bytes | memoryview], wire_len: int
-    ) -> tuple[list[bytes | memoryview], Optional[Callable[[], None]]]:
-        """Segments safe to hand to the transport for an eager send.
-
-        On a consuming transport the live views are already safe.  On
-        a retaining transport the payload is staged into pooled
-        scratch (the one eager-path copy, accounted) and released back
-        to the pool by the delivery fence.
-        """
-        if not self.transport.retains_segments:
-            return segments, None
-        if wire_len <= _STAGE_JOIN_MAX:
-            # Small messages: one immutable bytes is stable by nature,
-            # so no pool round trip and no delivery fence are needed.
-            flat = b"".join(segments)
-            self.copy_stats.copied(len(flat))
-            return [flat], None
-        staging = self.raw_pool.acquire(wire_len)
-        try:
-            offset = 0
-            for seg in segments:
-                view = memoryview(seg).cast("B")
-                staging[offset : offset + len(view)] = view
-                offset += len(view)
-        except BaseException:
-            # A bad segment (released buffer, size lie) must not leak
-            # the staging scratch.
-            self.raw_pool.release(staging)
-            raise
-        self.copy_stats.copied(offset)
-        release = lambda: self.raw_pool.release(staging)  # noqa: E731
-        return [memoryview(staging)[:offset]], release
 
     def send(self, buf: Buffer, dest: ProcessID, tag: int, context: int) -> None:
         self.isend(buf, dest, tag, context).wait()
@@ -735,12 +628,15 @@ class ProtocolEngine:
         self, rts: ArrivedMessage, recv_id: int, trace_id: Optional[int]
     ) -> None:
         """Send ready-to-recv for a matched RTS (Fig. 7 / Fig. 8)."""
-        # RTR frames are id-addressed: route by the send id so the
-        # answer always takes the same path regardless of which thread
-        # sends it.  The RTR echoes the RTS's flow id back, so the
-        # sender's RNDZ_DATA can carry it without parking flow state
-        # in the pending-send set.
+        # The RTR echoes the RTS's flow id back, so the sender's
+        # RNDZ_DATA can carry it without parking flow state in the
+        # pending-send set.  Stamped before the write, like rts.out.
         lc = self.clock.tick()
+        if self.tracer is not None:
+            self.tracer.emit(
+                "rtr.out", id=trace_id, peer=rts.src_uid,
+                lc=lc, fs=rts.flow_src, fq=rts.flow_seq,
+            )
         self._write(
             rts.src_pid,
             encode_frame(
@@ -753,13 +649,7 @@ class ProtocolEngine:
                 flow_src=rts.flow_src,
                 flow_seq=rts.flow_seq,
             ),
-            route=route_of_id(rts.send_id),
         )
-        if self.tracer is not None:
-            self.tracer.emit(
-                "rtr.out", id=trace_id, peer=rts.src_uid,
-                lc=lc, fs=rts.flow_src, fq=rts.flow_seq,
-            )
 
     def recv(self, buf: Buffer, src: ProcessID | int, tag: int, context: int) -> Status:
         return self.irecv(buf, src, tag, context).wait()
@@ -896,11 +786,12 @@ class ProtocolEngine:
         return self._completions.pop_latest(timeout=timeout)
 
     def drain_completed(self) -> list[Request]:
-        """Remove and return all queued completed requests (tests)."""
+        """Remove and return every request in the completed store."""
         return self._completions.drain()
 
     # ------------------------------------------------------------------
-    # input handler — called by the transport's progress thread
+    # inbound frames — called by the transport's progress thread, or
+    # by the sending thread on an inline transport (smdev)
 
     def handle_frame(
         self,
@@ -913,9 +804,10 @@ class ProtocolEngine:
     ) -> None:
         """Process one inbound frame (paper Figs 5 and 8).
 
-        Runs on the transport's input-handler thread.  Must never
-        block indefinitely: the only potentially long operation — the
-        rendezvous data write — is forked to a separate thread.
+        Runs on the transport's progress thread (niodev, procdev) or on
+        the sender's thread (smdev).  Must never block indefinitely:
+        the only potentially long operation — the rendezvous data
+        write — is forked to a separate thread.
 
         *payload* may be a single bytes-like or a segment list; the
         engine consumes it before returning unless it takes ownership
@@ -1033,9 +925,8 @@ class ProtocolEngine:
     ) -> None:
         # Fig. 8, ready-to-send branch.  A duplicated RTS would claim
         # (and forever wedge) a second posted receive; reject it before
-        # it can match anything.  Duplicates of one RTS share its
-        # content route, so they are serialized by its inbox handler —
-        # the check-then-add below cannot race with itself.
+        # it can match anything.  The check-then-add is one step under
+        # the rendezvous-ids lock, so two copies cannot both pass.
         rts_key = (src_pid.uid, header.send_id)
         with self._rndz_lock:
             if rts_key in self._active_rts:
@@ -1119,8 +1010,6 @@ class ProtocolEngine:
                     "rndz.out", id=header.send_id, size=pending.size,
                     lc=data_lc, fq=header.flow_seq,
                 )
-            # RNDZ_DATA is id-addressed: route by recv id, matching
-            # the landing lookup on the receiving side.
             self._write(
                 pending.dest,
                 encode_frame(
@@ -1134,7 +1023,6 @@ class ProtocolEngine:
                     flow_seq=header.flow_seq,
                 ),
                 on_delivered=on_delivered,
-                route=route_of_id(header.recv_id),
             )
 
         if self.fork_rendezvous_writer:

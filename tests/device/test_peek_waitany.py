@@ -22,7 +22,8 @@ class TestPeek:
         rbuf = Buffer()
         rreq = devs[1].irecv(rbuf, pids[0], 1, 0)
         devs[0].send(send_buffer(1), pids[1], 1, 0)
-        rreq.wait(timeout=10)
+        # Not wait(): a request handed to its owner leaves the store.
+        wait_until(lambda: rreq.done, timeout=10, message="recv completes")
         assert devs[1].peek(timeout=5) is rreq
 
     def test_peek_blocks_until_completion(self, job2):
@@ -55,9 +56,9 @@ class TestPeek:
         r0 = devs[1].irecv(bufs[0], pids[0], 10, 0)
         r1 = devs[1].irecv(bufs[1], pids[0], 11, 0)
         devs[0].send(send_buffer(0), pids[1], 10, 0)
-        r0.wait(timeout=10)
+        wait_until(lambda: r0.done, timeout=10, message="r0 completes")
         devs[0].send(send_buffer(1), pids[1], 11, 0)
-        r1.wait(timeout=10)
+        wait_until(lambda: r1.done, timeout=10, message="r1 completes")
         assert devs[1].peek(timeout=5) is r1
         assert devs[1].peek(timeout=5) is r0
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.buffer import Buffer
+from repro.buffer.buffer import WIRE_HEADER_SIZE
 from repro.buffer.pool import BufferPool, CopyStats, RawPool, size_class
 from repro.xdev.frames import HEADER, HEADER_SIZE, FrameHeader, FrameType
 
@@ -93,25 +94,30 @@ class TestZeroCopyRendezvous:
                 d.finish()
 
     def test_eager_copies_are_accounted(self):
-        # Small sends stage (in-process transports) or scratch-land, and
-        # every such byte must appear under bytes_copied — the counter
-        # proves the *rendezvous* zeros above are measurements, not a
-        # broken meter.
+        # smdev delivers inline: a matched eager message lands straight
+        # in the posted buffer (zero copies), an unexpected one is staged
+        # into device scratch exactly once — and that byte count shows
+        # under bytes_copied, proving the *rendezvous* zeros above are
+        # measurements, not a broken meter.
         devices, pids = make_job("smdev", 2)
         try:
-            payload = np.arange(1024, dtype=np.uint8)
+            payload = np.arange(1, dtype=np.int64)  # 8 B
             _reset_stats(devices)
-
-            def receiver():
-                devices[1].recv(Buffer(capacity=2048), pids[0], 3, 0)
-
-            t = threading.Thread(target=receiver)
-            t.start()
+            rreq = devices[1].irecv(Buffer(), pids[0], 3, 0)
             devices[0].send(send_buffer(payload), pids[1], 3, 0)
-            t.join(timeout=30)
-            assert not t.is_alive()
-            combined = _combined(devices)
-            assert combined["bytes_copied"] >= payload.nbytes
+            rreq.wait(timeout=10)
+            matched = _combined(devices)
+            assert matched["bytes_copied"] == 0, matched
+
+            _reset_stats(devices)
+            sbuf = send_buffer(payload)
+            devices[0].send(sbuf, pids[1], 4, 0)
+            rbuf = Buffer()
+            devices[1].recv(rbuf, pids[0], 4, 0)
+            assert rbuf.read_section()[0] == payload[0]
+            unexpected = _combined(devices)
+            assert unexpected["copies"] == 1, unexpected
+            assert unexpected["bytes_copied"] == WIRE_HEADER_SIZE + sbuf.size
         finally:
             for d in devices:
                 d.finish()

@@ -2,8 +2,8 @@
 
 Every test drives many concurrent sender/receiver threads whose tags
 route to *different* endpoint shards — the configuration where the
-sharded matcher, per-endpoint smdev inboxes, and channel-lock shards
-all run concurrently — and asserts the paper's correctness claims
+sharded matcher and per-endpoint completion shards run concurrently
+under smdev's inline delivery — and asserts the paper's correctness claims
 survive: contents exact, per-stream FIFO, wildcard receives complete,
 no lock-order violations, no stalls.  Chaos tests inherit the
 ``chaos_seed`` fixture, so a failure prints its ``REPRO_CHAOS_SEED``
@@ -257,13 +257,13 @@ class TestEndpointStormUnderChaos:
 
 
 class TestScheduledReplayAcrossEndpoints:
-    """The seeded scheduler extended across endpoint inboxes."""
+    """The seeded scheduler extended across endpoint lanes."""
 
     @pytest.mark.parametrize("endpoints", [1, 4])
     def test_schedule_replays_identically(self, chaos_seed, endpoints):
         """Same seed, same sharding degree → identical (rank, choice,
         fanout, endpoint) decision sequence.  This is the replayability
-        claim for the per-endpoint inbox grid."""
+        claim for the per-endpoint delivery lanes."""
 
         def run(seed):
             schedule = SeededSchedule(seed)
@@ -287,7 +287,7 @@ class TestScheduledReplayAcrossEndpoints:
 
     def test_endpoints_recorded_in_choices(self, chaos_seed):
         """With sharding on, deliveries actually land on more than one
-        endpoint inbox (the schedule records which)."""
+        endpoint lane (the schedule records which)."""
         endpoints = 4
         schedule = SeededSchedule(chaos_seed)
         devices, pids = make_scheduled_job(2, schedule, endpoints=endpoints)
@@ -306,7 +306,7 @@ class TestScheduledReplayAcrossEndpoints:
 
     def test_storm_multiset_preserved_under_schedule(self, chaos_seed):
         """Sender threads across all endpoints, an ANY_TAG drain on the
-        receiver: the scheduler permutes delivery across the inbox
+        receiver: the scheduler permutes delivery across the lane
         grid, but the received multiset is exact."""
         endpoints, nthreads, per_thread = 4, 4, 8
         schedule = SeededSchedule(chaos_seed)
@@ -353,7 +353,7 @@ class TestScheduledReplayAcrossEndpoints:
 class TestEndpointIntrospection:
     def test_per_endpoint_metrics_surface(self, chaos_seed):
         """``device.introspect()`` must expose the endpoint layout,
-        per-endpoint lock-wait histograms, and matcher/inbox depths."""
+        per-endpoint lock-wait histograms, and matcher depths."""
         endpoints = 4
         devices, pids = make_chaos_job(2, chaos_seed, endpoints=endpoints)
         try:

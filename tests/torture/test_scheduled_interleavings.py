@@ -1,8 +1,8 @@
 """Torture tests driven by the seeded interleaving scheduler.
 
-Where chaosdev perturbs frames on the *sender* side, ScheduledInbox
-permutes delivery order on the *receiver* side: every ``get()`` picks
-among the eligible stream heads with a seeded PRNG, so one test run
+Where chaosdev perturbs frames on the *sender* side, ScheduledFabric
+permutes delivery order at smdev's one delivery seam: every write
+picks among the eligible stream heads with a seeded PRNG, so one test run
 exercises an interleaving of the scheduler's choosing — replayable
 from the seed — instead of whatever the OS produced.
 """
